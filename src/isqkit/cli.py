@@ -10,12 +10,13 @@ errors exit 65.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from typing import Sequence
 
 from . import finfu, natfu
-from .execution import ExecMode, Status, run
+from .execution import BudgetExhausted, ExecMode, Status, run
 from .funit import derived_op, parse_unit_table, UNDEFINED, Unknown
 from .isa import ParseError, normalize, parse_program, render_program
 from .services import Reply, ServiceFamily, UnitService
@@ -83,6 +84,13 @@ def _parse_inputs(text: str) -> list[int]:
         lo, _, hi = text.partition("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(piece) for piece in text.split(",") if piece.strip()]
+
+
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a natural number")
+    return value
 
 
 def _exec_mode(args) -> ExecMode:
@@ -199,7 +207,7 @@ def _cmd_cosim(args) -> int:
         try:
             reply, value = natfu.rm_run(program, n, mode)
             oracle = "D" if reply is Reply.D else f"{reply},{value}"
-        except Exception:
+        except BudgetExhausted:
             oracle = "unknown"
         simulated = _format_result(translated(n))
         match = oracle == simulated and oracle != "unknown"
@@ -212,6 +220,13 @@ def _cmd_cosim(args) -> int:
         )
     return 0 if all_match else 1
 
+
+def _fingerprint(closed: finfu.ClosedSet) -> str:
+    """Eight hex digits naming a closed set, the same in every interpreter."""
+    text = "\n".join(sorted(finfu.render_behavior(t) for t in closed.members))
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+
 def _cmd_degrees(args) -> int:
     budget = finfu.ClosureBudget(max_sets=args.max_sets, max_seconds=args.max_seconds)
     result = finfu.count_degrees(args.k, budget)
@@ -221,7 +236,7 @@ def _cmd_degrees(args) -> int:
     if args.list:
         for closed in sorted(result.sets, key=lambda c: (len(c), c.fingerprint)):
             generators = [finfu.render_behavior(t) for t in finfu.minimal_generators(closed)]
-            fingerprint = f"{hash(closed.fingerprint) & 0xFFFFFFFF:08x}"
+            fingerprint = _fingerprint(closed)
             if args.json:
                 print(
                     json.dumps(
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("run", _cmd_run, "run a program against a service family")
     p.add_argument("--program", required=True, help="program file (.isq)")
     p.add_argument("--family", required=True, help="family literal, e.g. f=counter:0")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=_natural, default=1_000_000)
     p.add_argument("--no-cycle-detection", action="store_true")
     p.add_argument("--trace", action="store_true", help="print one line per step")
 
@@ -281,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cosim", _cmd_cosim, "compare register oracle and translation")
     p.add_argument("--rml", required=True)
     p.add_argument("--inputs", default="0..10", help="range a..b or comma list")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=_natural, default=1_000_000)
     p.add_argument("--no-cycle-detection", action="store_true")
 
     p = add("degrees", _cmd_degrees, "count functional unit degrees over k states")

@@ -8,6 +8,19 @@ and is closed under one branching step through a generator.  Divergent
 tables are kept during the fixpoint (they arise as unreachable branches) and
 filtered at the end; only the total tables are method operations.
 
+One engine, ``_close``, computes that fixpoint for every caller.  A step
+through generator g reads the table continued with on a true reply only at
+the states g's true rows go to, and the one continued with on a false reply
+only at the states its false rows go to.  So the engine combines the
+distinct projections of members onto those two state sets rather than the
+members themselves, and it works in semi-naive rounds: each round projects
+only the members found in the round before, and combines a pair of
+projections once, in the round in which the later one first appears.  The
+member set is the same as that of composing every pair of members until
+nothing new arises; at most (2k+1)^k projection pairs exist per generator,
+however large the closure.  The engine also records how each member was
+first derived, from which ``derivation_witnesses`` builds programs.
+
 Two units are equivalent exactly when their closures have the same total
 members, so counting distinct closures counts the unit degrees.
 """
@@ -18,7 +31,8 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .funit import FunctionalUnit, MethodOperation, TableRow
 
@@ -104,40 +118,101 @@ class ClosedSet:
         return len(self.members)
 
 
-def _close(generators: Iterable[Behavior], k: int) -> set[Behavior]:
-    members: set[Behavior] = {const_true(k), const_false(k), diverged(k)}
-    gens = list(generators)
-    new = set(members)
+def _picker(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A function taking a tuple to the tuple of its entries at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
+def _fresh_projections(members: list[Behavior], pick, seen: dict) -> dict:
+    """The projections of ``members`` not in ``seen``, each with one member having it."""
+    found = dict(zip(map(pick, members), members))
+    return {p: m for p, m in found.items() if p not in seen}
+
+
+# How a closure member was derived: the index of the generator performed
+# first and the members continued with on a true and on a false reply, or
+# None for the three base tables.
+Derivation = Optional[tuple[int, Behavior, Behavior]]
+
+
+def _close(generators: Iterable[Behavior], k: int) -> dict[Behavior, Derivation]:
+    """Every table derivable from total ``generators``, partial ones included.
+
+    Maps each member to how it was first derived, in derivation order, so
+    both members a derivation names come before it.
+
+    ``compose_behavior(g, a, b)`` reads ``a`` only at the states g's true
+    rows go to (T) and ``b`` only at those its false rows go to (F).  So per
+    generator it suffices to combine the distinct projections of members
+    onto T with those onto F, keeping one representative member for each.
+    Rounds are semi-naive: only the members new in a round are projected,
+    and a pair of projections is combined once, in the round in which the
+    later of the two first appears.  As every pair of a T and an F
+    projection of members is combined, and the composite depends on its two
+    members only through them, the member set equals that of composing
+    every pair of members until nothing new arises.
+    """
+    derived: dict[Behavior, Derivation] = dict.fromkeys(
+        (const_true(k), const_false(k), diverged(k))
+    )
+    plans = []
+    planned: set[Behavior] = set()
+    for gi, g in enumerate(generators):
+        if g in planned:
+            continue
+        planned.add(g)
+        on_true = sorted({nxt for flag, nxt in g if flag})
+        on_false = sorted({nxt for flag, nxt in g if not flag})
+        # row i of a composite is entry rows[i] of (true projection + false projection)
+        rows = [
+            on_true.index(nxt) if flag else len(on_true) + on_false.index(nxt)
+            for flag, nxt in g
+        ]
+        plans.append((gi, _picker(on_true), _picker(on_false), _picker(rows), {}, {}))
+
+    new = list(derived)
     while new:
-        fresh: set[Behavior] = set()
-        for g in gens:
-            for a in members:
-                for b in new:
-                    c = compose_behavior(g, a, b)
-                    if c not in members and c not in fresh:
-                        fresh.add(c)
-                    c = compose_behavior(g, b, a)
-                    if c not in members and c not in fresh:
-                        fresh.add(c)
-        members |= fresh
-        new = fresh
-    return members
+        fresh: dict[Behavior, Derivation] = {}
+        for gi, pick_true, pick_false, assemble, seen_true, seen_false in plans:
+            new_true = _fresh_projections(new, pick_true, seen_true)
+            new_false = _fresh_projections(new, pick_false, seen_false)
+            seen_false.update(new_false)
+            # product() takes its arguments whole at once, so the second
+            # pairs the new false projections with the old true ones only
+            pairs = itertools.chain(
+                itertools.product(new_true.items(), seen_false.items()),
+                itertools.product(seen_true.items(), new_false.items()),
+            )
+            seen_true.update(new_true)
+            for (pt, a), (pf, b) in pairs:
+                c = assemble(pt + pf)
+                if c not in derived and c not in fresh:
+                    fresh[c] = (gi, a, b)
+        derived.update(fresh)
+        new = list(fresh)
+    return derived
 
 
 def derived_closure(ops: Iterable, k: int) -> ClosedSet:
     """The derivable method operations of the unit generated by ``ops``."""
     generators = [_as_table(op, k) for op in ops]
-    members = _close(generators, k)
-    return ClosedSet(frozenset(t for t in members if is_total(t)), k)
+    return ClosedSet(frozenset(t for t in _close(generators, k) if is_total(t)), k)
 
 
 def derivation_witnesses(unit: FunctionalUnit) -> dict[Behavior, "object"]:
     """A witness program for every derivable operation of a finite unit.
 
-    Reruns the closure while recording, for each table, a regular thread
-    computing it; the threads are compiled back to programs.  Mainly a
-    testing device: it certifies that closure membership and program
-    derivability coincide.
+    Builds one regular thread with a state per closure member: a base table
+    is a termination or deadlock, any other member performs its generator
+    and continues with the states of the two members it was derived from.
+    Each total member's program compiles that thread rooted at its state.
+    Mainly a testing device: it certifies that closure membership and
+    program derivability coincide.
     """
     from .threads import LinearSpec, Post, compile_thread, DEADLOCK, TERM_N, TERM_P
     from .isa import BasicInstruction
@@ -146,45 +221,17 @@ def derivation_witnesses(unit: FunctionalUnit) -> dict[Behavior, "object"]:
         raise ValueError("witnesses are only computed over finite spaces")
     k = unit.size
     named = sorted(unit.ops)
-    gen_tables = {name: unit.ops[name].tabulate(k) for name in named}
-
-    # threads are kept as (entries, root) with entries growing append-only
-    witness: dict[Behavior, tuple] = {
-        const_true(k): (TERM_P,),
-        const_false(k): (TERM_N,),
-        diverged(k): (DEADLOCK,),
-    }
-
-    def merged(action, wt: tuple, wf: tuple) -> tuple:
-        offset = 1 + len(wt)
-        entries = [Post(action, 1, offset)]
-        for e in wt:
-            entries.append(_offset_entry(e, 1))
-        for e in wf:
-            entries.append(_offset_entry(e, offset))
-        return tuple(entries)
-
-    def _offset_entry(e, base):
-        return Post(e.action, e.true_next + base, e.false_next + base) if isinstance(e, Post) else e
-
-    new = set(witness)
-    while new:
-        fresh: dict[Behavior, tuple] = {}
-        for name in named:
-            g = gen_tables[name]
-            action = BasicInstruction("f", name)
-            for a in list(witness):
-                for b in new:
-                    for on_true, on_false in ((a, b), (b, a)):
-                        c = compose_behavior(g, on_true, on_false)
-                        if c in witness or c in fresh:
-                            continue
-                        fresh[c] = merged(action, witness[on_true], witness[on_false])
-        witness.update(fresh)
-        new = set(fresh)
+    derived = _close([unit.ops[name].tabulate(k) for name in named], k)
+    state = {table: i for i, table in enumerate(derived)}
+    base = {const_true(k): TERM_P, const_false(k): TERM_N, diverged(k): DEADLOCK}
+    entries = [
+        base[table] if how is None
+        else Post(BasicInstruction("f", named[how[0]]), state[how[1]], state[how[2]])
+        for table, how in derived.items()
+    ]
     return {
-        table: compile_thread(LinearSpec(entries, 0))
-        for table, entries in witness.items()
+        table: compile_thread(LinearSpec(entries, state[table]))
+        for table in derived
         if is_total(table)
     }
 

@@ -203,9 +203,6 @@ class PartialMethodOperation:
         """Per-state results over 0..size-1 (entries may be UNDEFINED/Unknown)."""
         return tuple(self(s) for s in range(size))
 
-    def is_total_on(self, size: int) -> bool:
-        return all(isinstance(r, tuple) for r in self.tabulate(size))
-
 
 def derived_op(
     x: Program,

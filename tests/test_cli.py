@@ -1,9 +1,14 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import isqkit
+from isqkit import natfu
 from isqkit.cli import main, parse_family_literal
 from isqkit.funit import render_unit_table, tabulate_unit, restrict
 from isqkit.natfu import counter_unit
@@ -18,6 +23,12 @@ def program_file(tmp_path):
         return str(path)
 
     return write
+
+
+def subprocess_env(**extra):
+    """The environment for a child interpreter that must import this isqkit."""
+    src = str(Path(isqkit.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=src, **extra)
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +177,24 @@ class TestTranslationCommands:
         assert len(lines) == 6
         assert lines[4] == "n=4 oracle=T,5 translated=T,5 match=yes"
 
+    def test_cosim_budget_exhausted_is_unknown(self, capsys, program_file):
+        path = program_file("r0.incr ; \\1", name="up.rml")
+        code, out = run_cli(capsys, "cosim", "--rml", path, "--inputs", "0", "--budget", "50")
+        assert code == 1
+        assert out.strip() == "n=0 oracle=unknown translated=unknown match=no"
+
+    def test_cosim_oracle_errors_propagate(self, capsys, program_file, monkeypatch):
+        def broken(program, n, mode):
+            raise ValueError("oracle defect")
+
+        monkeypatch.setattr(natfu, "rm_run", broken)
+        path = program_file("#1", name="id.rml")
+        code = main(["cosim", "--rml", path, "--inputs", "0..2"])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "oracle defect" in captured.err
+
     def test_cosim_json(self, capsys, program_file):
         path = program_file("#1", name="id.rml")
         code, out = run_cli(capsys, "cosim", "--rml", path, "--inputs", "2,3", "--json")
@@ -185,6 +214,26 @@ class TestAnalysisCommands:
         lines = out.splitlines()
         assert lines[0] == "degrees=12"
         assert len([l for l in lines if l.startswith("degree ")]) == 12
+
+    def test_degrees_list_fingerprint_is_a_digest(self, capsys):
+        _, out = run_cli(capsys, "degrees", "--k", "2", "--list")
+        first = out.splitlines()[2]
+        assert first.endswith("size=2 generators=[none]")
+        expected = hashlib.sha256(b"F0,F1\nT0,T1").hexdigest()[:8]
+        assert first.startswith(f"degree fingerprint={expected} ")
+
+    def test_degrees_list_independent_of_hash_seed(self):
+        outputs = set()
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "isqkit", "degrees", "--k", "2", "--list"],
+                capture_output=True,
+                text=True,
+                env=subprocess_env(PYTHONHASHSEED=seed),
+                check=True,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
 
     def test_degrees_json(self, capsys):
         _, out = run_cli(capsys, "degrees", "--k", "2", "--json")
@@ -274,6 +323,15 @@ class TestUsage:
             main(["run", "--family", "f=counter:0"])
         assert err.value.code == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--program", "p.isq", "--family", "f=counter:0"], ["cosim", "--rml", "p.rml"]],
+    )
+    def test_negative_budget_exits_64(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--budget", "-1"])
+        assert err.value.code == 64
+
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "p.isq"
         path.write_text("!t")
@@ -281,6 +339,7 @@ class TestUsage:
             [sys.executable, "-m", "isqkit", "run", "--program", str(path), "--family", "f=counter:0"],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "reply=T state=0"

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from isqkit.finfu import (
     ClosureBudget,
+    _close,
     compose_behavior,
     const_false,
     const_true,
@@ -98,16 +100,74 @@ class TestDerivedClosure:
             derived_closure([diverged(2)], 2)
 
 
+def pairwise_close(generators, k):
+    """The closure fixpoint by composing every (member, new member) pair."""
+    members = {const_true(k), const_false(k), diverged(k)}
+    new = set(members)
+    while new:
+        fresh = set()
+        for g in generators:
+            for a in members:
+                for b in new:
+                    for c in (compose_behavior(g, a, b), compose_behavior(g, b, a)):
+                        if c not in members:
+                            fresh.add(c)
+        members |= fresh
+        new = fresh
+    return members
+
+
+class TestClosureEngine:
+    """The projection-based engine against the pairwise fixpoint, partial tables included."""
+
+    def assert_same_members(self, generators, k):
+        assert set(_close(generators, k)) == pairwise_close(generators, k)
+
+    def test_every_single_generator_and_pair_over_two_states(self):
+        tables = [op.table for op in enumerate_mo(2)]
+        self.assert_same_members([], 2)
+        for size in (1, 2):
+            for generators in itertools.combinations(tables, size):
+                self.assert_same_members(list(generators), 2)
+
+    def test_random_generator_sets_over_three_states(self):
+        rng = random.Random(60)
+        for _ in range(40):
+            self.assert_same_members([random_table(rng, 3) for _ in range(rng.randint(0, 3))], 3)
+
+    def test_single_generators_over_four_states(self):
+        rng = random.Random(64)
+        for _ in range(5):
+            self.assert_same_members([random_table(rng, 4)], 4)
+
+    def test_repeated_generators(self):
+        g = ((True, 1), (False, 2), (True, 0))
+        self.assert_same_members([g, g, const_true(3), g], 3)
+
+    def test_derivations_name_earlier_members(self):
+        rng = random.Random(62)
+        generators = [random_table(rng, 3) for _ in range(3)]
+        derived = _close(generators, 3)
+        earlier = set()
+        for table, how in derived.items():
+            if how is not None:
+                gi, on_true, on_false = how
+                assert on_true in earlier and on_false in earlier
+                assert compose_behavior(generators[gi], on_true, on_false) == table
+            earlier.add(table)
+
+
 class TestWitnesses:
     def test_every_member_has_a_program(self):
-        rng = random.Random(54)
-        for _ in range(10):
-            unit = random_unit(rng, 2, rng.randint(1, 2))
-            witnesses = derivation_witnesses(unit)
-            closed = derived_closure(unit.ops.values(), 2)
-            assert set(witnesses) == closed.members
-            for table, program in witnesses.items():
-                assert derived_op(program, unit).tabulate(2) == table
+        for k, seed in ((2, 54), (3, 63)):
+            rng = random.Random(seed)
+            for _ in range(10):
+                unit = random_unit(rng, k, rng.randint(1, 2))
+                witnesses = derivation_witnesses(unit)
+                closed = derived_closure(unit.ops.values(), k)
+                assert set(witnesses) == closed.members
+                for table, program in witnesses.items():
+                    assert derived_op(program, unit).tabulate(k) == table
 
 
 class TestCountDegrees:
