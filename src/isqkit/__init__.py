@@ -64,7 +64,6 @@ from .funit import (
     MethodOperation,
     PartialMethodOperation,
     Unknown,
-    check_leq_finite,
     derived_op,
     inline_compose,
     refute_derivability,

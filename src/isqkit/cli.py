@@ -78,19 +78,30 @@ def parse_family_literal(text: str) -> ServiceFamily:
     return ServiceFamily(entries)
 
 
-def _parse_inputs(text: str) -> list[int]:
-    text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(piece) for piece in text.split(",") if piece.strip()]
-
-
 def _natural(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is not a natural number")
     return value
+
+
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative number")
+    return value
+
+
+def _inputs(text: str) -> list[int]:
+    """A range ``a..b`` or a comma list of naturals; selecting nothing is an error."""
+    if ".." in text:
+        lo, _, hi = text.partition("..")
+        values = list(range(_natural(lo), _natural(hi) + 1))
+    else:
+        values = [_natural(piece) for piece in text.split(",") if piece.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} selects no inputs")
+    return values
 
 
 def _exec_mode(args) -> ExecMode:
@@ -203,7 +214,7 @@ def _cmd_cosim(args) -> int:
     mode = _exec_mode(args)
     translated = derived_op(natfu.rmlful(program), natfu.univ_unit(), "f", mode)
     all_match = True
-    for n in _parse_inputs(args.inputs):
+    for n in args.inputs:
         try:
             reply, value = natfu.rm_run(program, n, mode)
             oracle = "D" if reply is Reply.D else f"{reply},{value}"
@@ -295,15 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cosim", _cmd_cosim, "compare register oracle and translation")
     p.add_argument("--rml", required=True)
-    p.add_argument("--inputs", default="0..10", help="range a..b or comma list")
+    p.add_argument("--inputs", type=_inputs, default="0..10", help="range a..b or comma list")
     p.add_argument("--budget", type=_natural, default=1_000_000)
     p.add_argument("--no-cycle-detection", action="store_true")
 
     p = add("degrees", _cmd_degrees, "count functional unit degrees over k states")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--list", action="store_true", help="one line per degree")
-    p.add_argument("--max-sets", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=None)
+    p.add_argument("--max-sets", type=_natural, default=None)
+    p.add_argument("--max-seconds", type=_nonnegative, default=None)
 
     p = add("leq", _cmd_leq, "decide derivability between finite units")
     p.add_argument("--left", required=True, help="table file")

@@ -13,19 +13,30 @@ three outcomes:
 
 The distinction between the last two matters: over infinite state spaces
 divergence is undecidable, so "proven divergent" and "unknown" must not be
-conflated.  Cycle detection hashes the exact (thread state, family)
-configuration and is exact whenever the visited configuration space is
-finite.
+conflated.  Cycle detection is exact whenever the visited configuration
+space is finite.
+
+A run resolves the family to slots once: the foci in sorted order, each with
+its unit and a current state, and each thread entry's (focus, method) to a
+slot and the method operation's function, on first visit.  A step applies
+that function to the slot's state and writes the new state back; the final
+family is built only when the thread completes.  The configuration stored for
+cycle detection is one tuple: the thread state followed by the unit states.
+That is as exact as hashing the whole (thread state, family) pair: no focus
+is added or removed during a run, a slot's unit never changes, and services
+compare by unit identity and state, so two configurations are equal under one
+key exactly when they are equal under the other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Hashable
 
 from .isa import BasicInstruction
-from .services import EMPTY_FAMILY, Reply, ServiceFamily, service_step
+from .services import EMPTY_FAMILY, Reply, ServiceFamily, UnitService
 from .threads import Deadlock, LinearSpec, Post, Tau, TermN, TermP
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,6 +93,12 @@ class ExecOutcome:
     trace: tuple[TraceStep, ...] | None = None
 
 
+# Resolved slot codes for thread entries other than a processable method.
+_TAU = -1
+_REJECT = -2
+_HALT = -3
+
+
 def run(
     thread: LinearSpec,
     family: ServiceFamily,
@@ -90,51 +107,79 @@ def run(
 ) -> ExecOutcome:
     """Execute a regular thread against a service family.
 
-    The input family is never mutated; every processed method yields a new
-    family with the focus concerned updated.
+    The input family is never mutated.  The run steps over a list of unit
+    states, one slot per focus in sorted order, and builds the final family
+    only when the thread completes.
     """
     entries = thread.entries
+    items = family.items()
+    slot_of = {focus: i for i, (focus, _) in enumerate(items)}
+    units = [svc.unit if isinstance(svc, UnitService) else None for _, svc in items]
+    states = [svc.state if isinstance(svc, UnitService) else None for _, svc in items]
+    # per entry: (slot or code, method operation fn, true successor, false successor)
+    resolved: list[tuple | None] = [None] * len(entries)
+
+    def resolve(entry) -> tuple:
+        if not isinstance(entry, Post):
+            return (_HALT, None, 0, 0)
+        action = entry.action
+        if isinstance(action, Tau):
+            return (_TAU, None, entry.true_next, entry.true_next)
+        i = slot_of.get(action.focus)
+        unit = units[i] if i is not None else None
+        op = unit.ops.get(action.method) if unit is not None else None
+        if op is None:
+            return (_REJECT, None, 0, 0)
+        return (i, op.fn, entry.true_next, entry.false_next)
+
     cur = thread.root
     steps = 0
+    limit = mode.budget if mode.budget is not None else math.inf
     trace: list[TraceStep] | None = [] if collect_trace else None
-    visited: set[tuple[int, ServiceFamily]] | None = set() if mode.detect_cycles else None
+    visited: set[tuple] | None = set() if mode.detect_cycles else None
 
-    def finish(status: Status, reply: Reply, fam: ServiceFamily) -> ExecOutcome:
+    def finish(status: Status, reply: Reply) -> ExecOutcome:
+        if status is Status.COMPLETED:
+            fam = ServiceFamily(
+                (focus, UnitService(unit, state) if unit is not None else svc)
+                for (focus, svc), unit, state in zip(items, units, states)
+            )
+        else:
+            fam = EMPTY_FAMILY
         return ExecOutcome(
             status, reply, fam, steps, tuple(trace) if trace is not None else None
         )
 
     while True:
-        entry = entries[cur]
-        if isinstance(entry, TermP):
-            return finish(Status.COMPLETED, Reply.T, family)
-        if isinstance(entry, TermN):
-            return finish(Status.COMPLETED, Reply.F, family)
-        if isinstance(entry, Deadlock):
-            return finish(Status.PROVEN_DIVERGENT, Reply.D, EMPTY_FAMILY)
-        assert isinstance(entry, Post)
+        rec = resolved[cur]
+        if rec is None:
+            rec = resolved[cur] = resolve(entries[cur])
+        slot, fn, true_next, false_next = rec
+        if slot == _HALT:
+            entry = entries[cur]
+            if isinstance(entry, TermP):
+                return finish(Status.COMPLETED, Reply.T)
+            if isinstance(entry, TermN):
+                return finish(Status.COMPLETED, Reply.F)
+            assert isinstance(entry, Deadlock)
+            return finish(Status.PROVEN_DIVERGENT, Reply.D)
         if visited is not None:
-            config = (cur, family)
+            config = (cur, *states)
             if config in visited:
-                return finish(Status.PROVEN_DIVERGENT, Reply.D, EMPTY_FAMILY)
+                return finish(Status.PROVEN_DIVERGENT, Reply.D)
             visited.add(config)
-        if mode.budget is not None and steps >= mode.budget:
-            return finish(Status.BUDGET_EXHAUSTED, Reply.D, EMPTY_FAMILY)
-        action = entry.action
-        if isinstance(action, Tau):
-            cur = entry.true_next
-            steps += 1
-            continue
-        svc = family.get(action.focus)
-        if svc is None:
-            return finish(Status.PROVEN_DIVERGENT, Reply.D, EMPTY_FAMILY)
-        reply, nxt = service_step(svc, action.method)
-        if reply is Reply.D:
-            return finish(Status.PROVEN_DIVERGENT, Reply.D, EMPTY_FAMILY)
-        family = family.updated(action.focus, nxt)
-        if trace is not None:
-            trace.append(TraceStep(cur, action, reply, nxt.state))
-        cur = entry.true_next if reply is Reply.T else entry.false_next
+        if steps >= limit:
+            return finish(Status.BUDGET_EXHAUSTED, Reply.D)
+        if slot >= 0:
+            flag, nxt = fn(states[slot])
+            states[slot] = nxt
+            if trace is not None:
+                trace.append(TraceStep(cur, entries[cur].action, Reply.of(flag), nxt))
+            cur = true_next if flag else false_next
+        elif slot == _TAU:
+            cur = true_next
+        else:
+            return finish(Status.PROVEN_DIVERGENT, Reply.D)
         steps += 1
 
 

@@ -243,6 +243,12 @@ class ClosureBudget:
     max_sets: int | None = None
     max_seconds: float | None = None
 
+    def __post_init__(self):
+        for name in ("max_sets", "max_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be non-negative")
+
 
 @dataclass(frozen=True)
 class DegreeCount:
@@ -289,7 +295,11 @@ def count_degrees(k: int, budget: ClosureBudget = ClosureBudget()) -> DegreeCoun
 
 
 def leq_by_closure(left: FunctionalUnit, right: FunctionalUnit) -> bool:
-    """True iff every operation of ``left`` is derivable from ``right``."""
+    """True iff every operation of ``left`` is derivable from ``right``.
+
+    Only decided over a shared finite state space; the relation is
+    undecidable over the naturals.
+    """
     if left.size is None or right.size is None:
         raise ValueError("comparison by closure needs finite state spaces")
     if left.size != right.size:

@@ -300,17 +300,6 @@ def inline_compose(
         count += 1
 
 
-def check_leq_finite(left: FunctionalUnit, right: FunctionalUnit) -> bool:
-    """True iff every operation of ``left`` is derivable from ``right``.
-
-    Only decided over a shared finite state space; the relation is
-    undecidable over the naturals.
-    """
-    from .finfu import leq_by_closure
-
-    return leq_by_closure(left, right)
-
-
 def refute_derivability(
     unit: FunctionalUnit,
     start: Any,

@@ -332,6 +332,19 @@ class TestUsage:
             main([*argv, "--budget", "-1"])
         assert err.value.code == 64
 
+    @pytest.mark.parametrize("inputs", ["--inputs=-2..1", "--inputs=3,-1", "--inputs=5..2", "--inputs=,"])
+    def test_cosim_inputs_outside_the_naturals_or_empty_exit_64(self, program_file, inputs):
+        path = program_file("!t", "id.rml")
+        with pytest.raises(SystemExit) as err:
+            main(["cosim", "--rml", path, inputs])
+        assert err.value.code == 64
+
+    @pytest.mark.parametrize("option", ["--max-sets=-1", "--max-seconds=-0.5", "--max-seconds=nan"])
+    def test_negative_degree_budget_exits_64(self, option):
+        with pytest.raises(SystemExit) as err:
+            main(["degrees", "--k", "2", option])
+        assert err.value.code == 64
+
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "p.isq"
         path.write_text("!t")

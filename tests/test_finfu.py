@@ -204,6 +204,11 @@ class TestCountDegrees:
                         queue.append(extended)
             assert seen == reference
 
+    @pytest.mark.parametrize("limits", [{"max_sets": -1}, {"max_seconds": -0.5}])
+    def test_budget_rejects_negative_limits(self, limits):
+        with pytest.raises(ValueError):
+            ClosureBudget(**limits)
+
     def test_budget_flags_truncation(self):
         result = count_degrees(2, ClosureBudget(max_sets=4))
         assert not result.exact

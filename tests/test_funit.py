@@ -4,13 +4,12 @@ import random
 import pytest
 
 from isqkit.execution import ExecMode
-from isqkit.finfu import derived_closure
+from isqkit.finfu import derived_closure, leq_by_closure
 from isqkit.funit import (
     UNDEFINED,
     FunctionalUnit,
     MethodOperation,
     Unknown,
-    check_leq_finite,
     derived_op,
     inline_compose,
     parse_unit_table,
@@ -223,34 +222,34 @@ class TestLeq:
         rng = random.Random(41)
         for _ in range(20):
             unit = random_unit(rng, 2, rng.randint(0, 3))
-            assert check_leq_finite(unit, unit)
+            assert leq_by_closure(unit, unit)
 
     def test_empty_unit_below_everything(self):
         rng = random.Random(42)
         empty = FunctionalUnit({}, 2)
         for _ in range(10):
-            assert check_leq_finite(empty, random_unit(rng, 2, 2))
+            assert leq_by_closure(empty, random_unit(rng, 2, 2))
 
     def test_rejects_infinite_spaces(self):
         with pytest.raises(ValueError):
-            check_leq_finite(COUNTER, COUNTER)
+            leq_by_closure(COUNTER, COUNTER)
 
     def test_truncated_counter_pair_matches_brute_force(self):
         iszero_only = tabulate_unit(restrict(COUNTER, {"iszero"}), 3)
         decr_only = tabulate_unit(restrict(COUNTER, {"decr"}), 3)
-        by_closure = check_leq_finite(iszero_only, decr_only)
+        by_closure = leq_by_closure(iszero_only, decr_only)
         iszero_table = iszero_only.ops["iszero"].table
         assert by_closure == (iszero_table in brute_force_tables(decr_only))
         assert by_closure is False
         # and the state-preserving direction is derivable the other way round
-        assert check_leq_finite(decr_only, tabulate_unit(restrict(COUNTER, {"decr", "iszero"}), 3))
+        assert leq_by_closure(decr_only, tabulate_unit(restrict(COUNTER, {"decr", "iszero"}), 3))
 
     def test_restriction_monotone(self):
         rng = random.Random(43)
         for _ in range(20):
             unit = random_unit(rng, 2, 3)
             names = [m for m in unit.interface if rng.random() < 0.5]
-            assert check_leq_finite(restrict(unit, names), unit)
+            assert leq_by_closure(restrict(unit, names), unit)
 
     def test_transitive(self):
         rng = random.Random(44)
@@ -264,9 +263,9 @@ class TestLeq:
                 sorted(derived_closure(mid.ops.values(), 2).members), k=1
             )
             low = FunctionalUnit.from_tables(2, {"e0": low_tables[0]})
-            assert check_leq_finite(mid, top)
-            assert check_leq_finite(low, mid)
-            assert check_leq_finite(low, top)
+            assert leq_by_closure(mid, top)
+            assert leq_by_closure(low, mid)
+            assert leq_by_closure(low, top)
 
 
 class TestRefutation:
