@@ -122,23 +122,17 @@ def _cmd_run(args) -> int:
     outcome = run(extract(program), family, _exec_mode(args), collect_trace=args.trace)
     if args.trace:
         for step in outcome.trace:
-            if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "pos": step.state,
-                            "action": str(step.action),
-                            "reply": str(step.reply),
-                            "state": str(step.service_state),
-                        },
-                        sort_keys=True,
-                    )
-                )
-            else:
-                print(
-                    f"pos={step.state} action={step.action} "
-                    f"reply={step.reply} state={step.service_state}"
-                )
+            payload = {
+                "pos": step.state,
+                "action": str(step.action),
+                "reply": str(step.reply),
+                "state": str(step.service_state),
+            }
+            line = (
+                f"pos={step.state} action={step.action} "
+                f"reply={step.reply} state={step.service_state}"
+            )
+            _emit(args, payload, [line])
     states = {
         focus: str(svc.state) if isinstance(svc, UnitService) else "empty"
         for focus, svc in outcome.family.items()
@@ -248,22 +242,12 @@ def _cmd_degrees(args) -> int:
         for closed in sorted(result.sets, key=lambda c: (len(c), c.fingerprint)):
             generators = [finfu.render_behavior(t) for t in finfu.minimal_generators(closed)]
             fingerprint = _fingerprint(closed)
-            if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "fingerprint": fingerprint,
-                            "size": len(closed),
-                            "generators": generators,
-                        },
-                        sort_keys=True,
-                    )
-                )
-            else:
-                print(
-                    f"degree fingerprint={fingerprint} size={len(closed)} "
-                    f"generators=[{' '.join(generators) or 'none'}]"
-                )
+            payload = {"fingerprint": fingerprint, "size": len(closed), "generators": generators}
+            line = (
+                f"degree fingerprint={fingerprint} size={len(closed)} "
+                f"generators=[{' '.join(generators) or 'none'}]"
+            )
+            _emit(args, payload, [line])
     return 0
 
 
@@ -311,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cycle-detection", action="store_true")
 
     p = add("degrees", _cmd_degrees, "count functional unit degrees over k states")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=2, choices=range(1, finfu.MAX_ENUMERATED_STATES + 1))
     p.add_argument("--list", action="store_true", help="one line per degree")
     p.add_argument("--max-sets", type=_natural, default=None)
     p.add_argument("--max-seconds", type=_nonnegative, default=None)

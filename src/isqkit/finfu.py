@@ -85,14 +85,14 @@ def _as_table(op: Union[MethodOperation, Behavior, Iterable[TableRow]], k: int) 
     return table
 
 
-def enumerate_mo(k: int, max_states: int = MAX_ENUMERATED_STATES) -> list[MethodOperation]:
+def enumerate_mo(k: int) -> list[MethodOperation]:
     """All (2k)^k method operations over a k-state space, in table order.
 
     Replies sort false before true and next states ascend, with the last
     state's entry varying fastest.
     """
-    if not 1 <= k <= max_states:
-        raise ValueError(f"k must be in 1..{max_states}")
+    if not 1 <= k <= MAX_ENUMERATED_STATES:
+        raise ValueError(f"k must be in 1..{MAX_ENUMERATED_STATES}")
     rows = [(flag, s) for flag in (False, True) for s in range(k)]
     ops = []
     for i, assignment in enumerate(itertools.product(rows, repeat=k)):

@@ -20,7 +20,7 @@ fact is mechanized here: the first is untestable, the second unanswered.
 from __future__ import annotations
 
 from .execution import DEFAULT_MODE, BudgetExhausted, ExecMode
-from .funit import FunctionalUnit, MethodOperation
+from .funit import FunctionalUnit
 from .isa import (
     BasicInstruction,
     BwdJump,
@@ -124,13 +124,6 @@ def univ_unit() -> FunctionalUnit:
 UNIV_METHOD_ORDER: tuple[str, ...] = ("exp2", "fact5") + tuple(
     name for i in range(6) for name in (f"succ{i}", f"pred{i}", f"iszero{i}")
 )
-
-
-def univ_method(i: int) -> MethodOperation:
-    """The i-th operation of the universal unit in the canonical ordering."""
-    if not 0 <= i < len(UNIV_METHOD_ORDER):
-        raise ValueError(f"index {i} out of range")
-    return univ_unit().ops[UNIV_METHOD_ORDER[i]]
 
 
 _G2_CAP = 3**19

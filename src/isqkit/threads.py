@@ -7,10 +7,14 @@ many states and are represented here by ``LinearSpec``: a table of entries
 indexed by state id, plus a root id.
 
 ``extract`` maps a program to its thread, resolving jump chains eagerly (a
-cycle consisting solely of jumps is a deadlock).  ``project`` cuts a thread
-off after a given number of actions, yielding a finite tree.  ``bisimilar``
-decides behavioural equality of tau-free specs, and ``compile_thread`` maps
-any tau-free spec back to a program with bisimilar extraction.
+cycle consisting solely of jumps is a deadlock).  ``truncate`` cuts a thread
+off after a given number of actions, as a linear spec; ``project`` is the
+same cut viewed as a finite tree.  ``bisimilar`` decides behavioural equality
+of tau-free specs, and ``compile_thread`` maps any tau-free spec back to a
+program with bisimilar extraction.
+
+All specs built here, and the block order of ``compile_thread``, share one
+numbering: breadth-first from root 0, the true successor before the false.
 """
 
 from __future__ import annotations
@@ -129,6 +133,29 @@ def _require_tau_free(s: LinearSpec, operation: str):
         raise ValueError(f"{operation} is only defined for tau-free threads")
 
 
+def _successors(entry: Entry) -> tuple[int, ...]:
+    """The true and false successors of a ``Post``; no successors otherwise."""
+    if isinstance(entry, Post):
+        return entry.true_next, entry.false_next
+    return ()
+
+
+def _number(root, successors) -> dict:
+    """Every key reachable from ``root``, numbered breadth-first from 0.
+
+    ``successors(key)`` gives a key's successors in the order they are
+    visited.  The returned dict iterates its keys in numbering order.
+    """
+    index = {root: 0}
+    order = [root]
+    for key in order:
+        for nxt in successors(key):
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+    return index
+
+
 def extract(x: Program) -> LinearSpec:
     """Thread extraction: one state per reachable non-jump position.
 
@@ -208,51 +235,25 @@ def extract(x: Program) -> LinearSpec:
     return LinearSpec(tuple(entries), root)
 
 
-def project(s: LinearSpec, n: int) -> FiniteThread:
-    """Approximation of the thread up to depth n (cut points become deadlock)."""
-    if n < 0:
-        raise ValueError("projection depth must be a natural")
-    memo: dict[tuple[int, int], FiniteThread] = {}
-
-    def go(state: int, depth: int) -> FiniteThread:
-        key = (state, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        entry = s.entries[state]
-        if depth == 0:
-            result: FiniteThread = DEADLOCK
-        elif isinstance(entry, Post):
-            result = Branch(
-                entry.action, go(entry.true_next, depth - 1), go(entry.false_next, depth - 1)
-            )
-        else:
-            result = entry
-        memo[key] = result
-        return result
-
-    return go(s.root, n)
-
-
 def truncate(s: LinearSpec, n: int) -> LinearSpec:
-    """The depth-n approximation of s, itself as a linear spec."""
+    """The depth-n approximation of s, itself as a linear spec.
+
+    Its states are (state of s, actions left) pairs, numbered by falling
+    depth, so successors always come after their parent.
+    """
     if n < 0:
         raise ValueError("projection depth must be a natural")
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
 
-    def state_id(state: int, depth: int) -> int:
-        key = (state, depth)
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
+    def successors(key: tuple[int, int]):
+        state, depth = key
+        entry = s.entries[state]
+        if depth and isinstance(entry, Post):
+            return (entry.true_next, depth - 1), (entry.false_next, depth - 1)
+        return ()
 
-    root = state_id(s.root, n)
+    index = _number((s.root, n), successors)
     entries: list[Entry] = []
-    sid = 0
-    while sid < len(order):
-        state, depth = order[sid]
+    for state, depth in index:
         entry = s.entries[state]
         if depth == 0:
             entries.append(DEADLOCK)
@@ -260,14 +261,27 @@ def truncate(s: LinearSpec, n: int) -> LinearSpec:
             entries.append(
                 Post(
                     entry.action,
-                    state_id(entry.true_next, depth - 1),
-                    state_id(entry.false_next, depth - 1),
+                    index[entry.true_next, depth - 1],
+                    index[entry.false_next, depth - 1],
                 )
             )
         else:
             entries.append(entry)
-        sid += 1
-    return LinearSpec(tuple(entries), root)
+    return LinearSpec(tuple(entries), 0)
+
+
+def project(s: LinearSpec, n: int) -> FiniteThread:
+    """Approximation of the thread up to depth n (cut points become deadlock).
+
+    The tree view of ``truncate(s, n)``, folded bottom-up from its last entry.
+    """
+    cut = truncate(s, n)
+    trees: list[FiniteThread] = list(cut.entries)
+    for i in range(len(trees) - 1, -1, -1):
+        entry = cut.entries[i]
+        if isinstance(entry, Post):
+            trees[i] = Branch(entry.action, trees[entry.true_next], trees[entry.false_next])
+    return trees[cut.root]
 
 
 def tau_contract(t: FiniteThread) -> FiniteThread:
@@ -339,7 +353,6 @@ def bisimilar(a: LinearSpec, b: LinearSpec) -> bool:
 
 def minimize(s: LinearSpec) -> LinearSpec:
     """Collapse bisimilar states by partition refinement; root block first."""
-    n = len(s.entries)
     labels = [_label(e) for e in s.entries]
     block: dict = {}
     part = [block.setdefault(lab, len(block)) for lab in labels]
@@ -357,31 +370,22 @@ def minimize(s: LinearSpec) -> LinearSpec:
             break
         part = new_part
 
-    # renumber blocks in traversal order from the root, keeping only
-    # the reachable ones
-    index: dict[int, int] = {}
-    order: list[int] = []  # representative state per block
-
-    def block_id(state: int) -> int:
-        b = part[state]
-        if b not in index:
-            index[b] = len(order)
-            order.append(state)
-        return index[b]
-
-    root = block_id(s.root)
+    # renumber the blocks reachable from the root; the states of a block
+    # agree on label and successor blocks, so any one represents it
+    rep = {b: i for i, b in enumerate(part)}
+    index = _number(
+        part[s.root], lambda b: [part[nxt] for nxt in _successors(s.entries[rep[b]])]
+    )
     entries: list[Entry] = []
-    sid = 0
-    while sid < len(order):
-        entry = s.entries[order[sid]]
+    for b in index:
+        entry = s.entries[rep[b]]
         if isinstance(entry, Post):
             entries.append(
-                Post(entry.action, block_id(entry.true_next), block_id(entry.false_next))
+                Post(entry.action, index[part[entry.true_next]], index[part[entry.false_next]])
             )
         else:
             entries.append(entry)
-        sid += 1
-    return LinearSpec(tuple(entries), root)
+    return LinearSpec(tuple(entries), 0)
 
 
 def compile_thread(s: LinearSpec) -> Program:
@@ -393,23 +397,7 @@ def compile_thread(s: LinearSpec) -> Program:
     """
     _require_tau_free(s, "compile_thread")
 
-    index: dict[int, int] = {}
-    order: list[int] = []
-
-    def visit(state: int) -> int:
-        if state not in index:
-            index[state] = len(order)
-            order.append(state)
-        return index[state]
-
-    visit(s.root)
-    sid = 0
-    while sid < len(order):
-        entry = s.entries[order[sid]]
-        if isinstance(entry, Post):
-            visit(entry.true_next)
-            visit(entry.false_next)
-        sid += 1
+    order = _number(s.root, lambda state: _successors(s.entries[state]))
 
     starts: dict[int, int] = {}
     total = 0

@@ -99,6 +99,18 @@ class TestRunCommand:
         assert lines[0] == "pos=0 action=f.incr reply=T state=1"
         assert lines[1] == "pos=1 action=f.iszero reply=F state=1"
 
+    def test_trace_json_lines(self, capsys, program_file):
+        path = program_file("f.incr ; +f.iszero ; !t ; !f")
+        code, out = run_cli(
+            capsys, "run", "--program", path, "--family", "f=counter:0", "--trace", "--json"
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            '{"action": "f.incr", "pos": 0, "reply": "T", "state": "1"}',
+            '{"action": "f.iszero", "pos": 1, "reply": "F", "state": "1"}',
+            '{"reply": "F", "state": {"f": "1"}, "status": "completed", "steps": 2}',
+        ]
+
     def test_json_matches_human(self, capsys, program_file):
         path = program_file("f.incr ; f.incr ; +f.iszero ; !t ; !f")
         code, human = run_cli(capsys, "run", "--program", path, "--family", "f=counter:0")
@@ -235,6 +247,19 @@ class TestAnalysisCommands:
             outputs.add(result.stdout)
         assert len(outputs) == 1
 
+    def test_degrees_list_json_lines(self, capsys):
+        code, out = run_cli(capsys, "degrees", "--k", "2", "--list", "--json")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 13
+        assert lines[:3] + lines[7:8] + lines[-1:] == [
+            '{"degrees": 12, "exact": true, "k": 2}',
+            '{"fingerprint": "289506ef", "generators": [], "size": 2}',
+            '{"fingerprint": "8c8754e0", "generators": ["F0,F0"], "size": 4}',
+            '{"fingerprint": "fc00b0d2", "generators": ["F0,F0", "F1,F1"], "size": 6}',
+            '{"fingerprint": "072148e6", "generators": ["F1,T0"], "size": 16}',
+        ]
+
     def test_degrees_json(self, capsys):
         _, out = run_cli(capsys, "degrees", "--k", "2", "--json")
         assert json.loads(out.splitlines()[0]) == {"degrees": 12, "exact": True, "k": 2}
@@ -343,6 +368,12 @@ class TestUsage:
     def test_negative_degree_budget_exits_64(self, option):
         with pytest.raises(SystemExit) as err:
             main(["degrees", "--k", "2", option])
+        assert err.value.code == 64
+
+    @pytest.mark.parametrize("k", ["0", "5", "-1"])
+    def test_degree_space_outside_enumerable_range_exits_64(self, k):
+        with pytest.raises(SystemExit) as err:
+            main(["degrees", "--k", k])
         assert err.value.code == 64
 
     def test_module_entry_point(self, tmp_path):

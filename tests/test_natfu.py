@@ -15,7 +15,6 @@ from isqkit.natfu import (
     rmlful,
     univ3_program,
     univ3_unit,
-    univ_method,
     univ_unit,
     validate_rml,
 )
@@ -107,7 +106,6 @@ class TestUniv:
         assert UNIV_METHOD_ORDER[1] == "fact5"
         assert UNIV_METHOD_ORDER[2:5] == ("succ0", "pred0", "iszero0")
         assert UNIV_METHOD_ORDER[7] == "iszero1"
-        assert univ_method(6)(9) == UNIV.ops["pred1"](9)
 
 
 class TestUniv3:

@@ -28,7 +28,7 @@ from isqkit.threads import (
     truncate,
 )
 
-from .strategies import finite_trees, leaf, linear_specs, postcond, random_spec
+from .strategies import finite_trees, leaf, linear_specs, postcond, random_program, random_spec
 
 FM = BasicInstruction("f", "m")
 
@@ -100,6 +100,60 @@ class TestProject:
     @given(linear_specs(max_states=3), st.integers(0, 6))
     def test_agrees_with_truncate(self, spec, depth):
         assert project(truncate(spec, depth), 10 + depth) == project(spec, depth)
+
+    def test_deep_cut(self):
+        tree = project(ex("f.m ; \\1"), 5000)
+        depth = 0
+        while isinstance(tree, Branch):
+            assert tree.true_branch is tree.false_branch
+            tree = tree.true_branch
+            depth += 1
+        assert depth == 5000
+        assert tree == DEADLOCK
+
+
+def breadth_first_order(spec):
+    """The states reachable from the root, breadth-first, true successor first."""
+    order = [spec.root]
+    seen = {spec.root}
+    for state in order:
+        entry = spec.entries[state]
+        if isinstance(entry, Post):
+            for nxt in (entry.true_next, entry.false_next):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+    return order
+
+
+def assert_breadth_first(spec):
+    assert breadth_first_order(spec) == list(range(len(spec.entries)))
+
+
+class TestNumbering:
+    """Every spec `isqkit.threads` builds is numbered breadth-first from root 0."""
+
+    def check(self, spec):
+        for depth in range(5):
+            assert_breadth_first(truncate(spec, depth))
+        small = minimize(spec)
+        assert_breadth_first(small)
+        assert_breadth_first(extract(compile_thread(spec)))
+        # compile_thread lays its blocks out in the same order, so the
+        # minimal spec survives a round trip exactly
+        assert extract(compile_thread(small)) == small
+
+    @given(linear_specs())
+    def test_linear_specs(self, spec):
+        self.check(spec)
+
+    def test_seeded(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            spec = extract(random_program(rng, max_len=12))
+            assert_breadth_first(spec)
+            self.check(spec)
+            self.check(random_spec(rng, max_states=10))
 
 
 class TestBisimilar:
