@@ -8,9 +8,8 @@ provably diverges, unknown where only the budget ran out.
 
 ``inline_compose`` implements substitution of method implementations into a
 program: every positive test on an implemented method is replaced by the
-implementation body, with jumps across the splice site widened and the
-body's two halt exits turned into forward jumps so that a true exit lands on
-the test's true successor and a false exit one instruction further.
+implementation, whose two halts become gotos to the test's true and false
+successors; ``isa.assemble`` lays the result out once, at the end.
 """
 
 from __future__ import annotations
@@ -22,12 +21,15 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 from .execution import DEFAULT_MODE, ExecMode, Status, reachable_states, run
 from .isa import (
     IDENT_RE,
-    BwdJump,
-    FwdJump,
+    Goto,
+    HaltN,
+    HaltP,
     NegTest,
     Plain,
     PosTest,
     Program,
+    assemble,
+    decode,
     is_normalized,
     normalize,
 )
@@ -224,38 +226,6 @@ def derived_op(
     return PartialMethodOperation(x, unit, focus, mode)
 
 
-def _splice(prog: Program, site: int, body: tuple) -> Program:
-    """Replace the test at 1-based position ``site`` by body plus two exits.
-
-    The body is copied verbatim (its internal relative jumps still line up
-    because the block is contiguous); control transfers into its former halt
-    slots hit the two ``#2`` exits, which land on the old true and false
-    successors of the replaced test.  Jumps spanning the site widen by
-    len(body) + 1.
-    """
-    delta = len(body) + 1
-
-    def shift(pos: int) -> int:
-        return pos + delta if pos > site else pos
-
-    out: list = []
-    for t, instr in enumerate(prog, start=1):
-        if t == site:
-            out.extend(body)
-            out.append(FwdJump(2))
-            out.append(FwdJump(2))
-            continue
-        if isinstance(instr, FwdJump):
-            target = shift(t + instr.offset)
-            out.append(FwdJump(target - shift(t)))
-        elif isinstance(instr, BwdJump):
-            target = shift(t - instr.offset) if t - instr.offset > 0 else t - instr.offset
-            out.append(BwdJump(shift(t) - target))
-        else:
-            out.append(instr)
-    return Program(tuple(out))
-
-
 def inline_compose(
     x_m: Program,
     impls: Mapping[str, Program],
@@ -269,35 +239,49 @@ def inline_compose(
     implemented method remains, so implementations may themselves use
     implemented methods (a cycle among them is reported as an error once the
     substitution cap is hit).  Methods that are neither implemented nor
-    listed in ``passthrough`` are rejected.
+    listed in ``passthrough`` are rejected.  A jump off either end of an
+    implementation deadlocks, as it does when the implementation runs alone.
     """
     prog = x_m if is_normalized(x_m) else normalize(x_m)
-    bodies: dict[str, tuple] = {}
-    for name, impl in impls.items():
-        impl_n = impl if is_normalized(impl) else normalize(impl)
-        bodies[name] = impl_n.instructions[:-2]
+    bodies = {
+        name: decode(impl if is_normalized(impl) else normalize(impl))
+        for name, impl in impls.items()
+    }
 
-    def methods_of(p: Program) -> set[str]:
-        return {u.basic.method for u in p if isinstance(u, PosTest)}
-
-    stray = methods_of(prog) - set(bodies) - set(passthrough)
+    methods = {u.basic.method for u in prog if isinstance(u, PosTest)}
+    stray = methods - set(bodies) - set(passthrough)
     if stray:
         raise ValueError(f"no implementation for methods: {sorted(stray)}")
 
+    # one-instruction blocks; a site's block gives way to the body's blocks,
+    # the first of which takes over the site's label
+    blocks: list = decode(prog)
     count = 0
-    while True:
-        site = None
-        name = None
-        for t, instr in enumerate(prog, start=1):
-            if isinstance(instr, PosTest) and instr.basic.method in bodies:
-                site, name = t, instr.basic.method
-                break
-        if site is None:
-            return prog
+    i = 0
+    while i < len(blocks):
+        site, (u,) = blocks[i]
+        if not (isinstance(u, PosTest) and u.basic.method in bodies):
+            i += 1
+            continue
         if count >= max_substitutions:
             raise ValueError("substitution did not terminate (cyclic implementations?)")
-        prog = _splice(prog, site, bodies[name])
         count += 1
+        true_exit, false_exit = blocks[i + 1][0], blocks[i + 2][0]
+
+        def label(j: int) -> Hashable:
+            return site if j == 1 else (count, j)
+
+        body = []
+        for j, (v,) in bodies[u.basic.method]:
+            if isinstance(v, Goto):
+                v = Goto(label(v.label))
+            elif isinstance(v, HaltP):
+                v = Goto(true_exit)
+            elif isinstance(v, HaltN):
+                v = Goto(false_exit)
+            body.append((label(j), (v,)))
+        blocks[i : i + 1] = body
+    return assemble(blocks)
 
 
 def refute_derivability(

@@ -1,4 +1,4 @@
-"""Instruction sequence syntax: parsing, printing, repetition, normalization.
+"""Instruction sequence syntax: parsing, printing, layout, repetition, normalization.
 
 Concrete grammar (whitespace between tokens is ignored)::
 
@@ -15,13 +15,18 @@ instruction on a true reply and skips one instruction on a false reply;
 instruction.  ``#l`` and ``\\l`` are relative jumps (``#0``, ``\\0`` and jumps
 off either end of the sequence deadlock).  ``!t`` and ``!f`` halt execution,
 delivering true respectively false.
+
+Every program isqkit writes is laid out by ``assemble``, which places
+labelled blocks in order and turns each ``Goto(label)`` into the jump to the
+first position of that block; a goto to a label no block carries, or to its
+own position, becomes ``#0``.  No other module computes a jump offset.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Hashable, Iterator, Sequence, Union
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 _NAT_RE = re.compile(r"0|[1-9][0-9]*")
@@ -113,6 +118,13 @@ class HaltN:
 
     def __str__(self) -> str:
         return "!f"
+
+
+@dataclass(frozen=True)
+class Goto:
+    """A jump to the block carrying ``label``, resolved by ``assemble``."""
+
+    label: Hashable
 
 
 Instruction = Union[Plain, PosTest, NegTest, FwdJump, BwdJump, HaltP, HaltN]
@@ -246,79 +258,72 @@ def repeat_instruction(u: Instruction, n: int) -> Program:
     return Program((u,) * n)
 
 
-# Targets used while assembling normalized programs: an original position,
-# one of the two mandated halts, or "nowhere" (deadlock).
-_EXIT_P = "exit_p"
-_EXIT_N = "exit_n"
-_DEAD = "dead"
+def decode(x: Program) -> list[tuple[int, tuple]]:
+    """x as one-instruction blocks labelled by position, its jumps as gotos.
+
+    ``assemble`` inverts it, except that a jump leaving x comes back as ``#0``.
+    """
+    blocks: list[tuple[int, tuple]] = []
+    for i, u in enumerate(x, start=1):
+        if isinstance(u, FwdJump):
+            u = Goto(i + u.offset)
+        elif isinstance(u, BwdJump):
+            u = Goto(i - u.offset)
+        blocks.append((i, (u,)))
+    return blocks
+
+
+def assemble(blocks: Sequence[tuple[Hashable, Sequence]]) -> Program:
+    """Lay out ``(label, items)`` blocks in order; each goto becomes a jump.
+
+    Items are instructions or gotos, and labels are distinct.  A goto jumps
+    to the first position of the block carrying its label; a goto to a label
+    no block carries, or to its own position, becomes ``#0``.
+    """
+    starts = {}
+    pos = 1
+    for label, items in blocks:
+        starts[label] = pos
+        pos += len(items)
+    jumps: dict[int, Instruction] = {}  # jumps are immutable: one per offset serves all
+    out: list[Instruction] = []
+    for _, items in blocks:
+        for item in items:
+            if isinstance(item, Goto):
+                here = len(out) + 1
+                offset = starts.get(item.label, here) - here
+                if offset not in jumps:
+                    jumps[offset] = FwdJump(offset) if offset >= 0 else BwdJump(-offset)
+                item = jumps[offset]
+            out.append(item)
+    return Program(tuple(out))
 
 
 def normalize(x: Program) -> Program:
     """Rewrite x so only positive tests and jumps precede a final ``!t ; !f``.
 
-    Each source instruction becomes a small block: a plain basic instruction
-    becomes a positive test whose branches converge, a negative test becomes a
-    positive test with swapped continuations, halts become jumps to the
-    mandated tail.  Control transfers off either end of the source sequence
-    stay deadlocks (emitted as ``#0``).  The extracted behaviour of the result
-    is bisimilar to that of the input.
+    Each source instruction becomes a block labelled by its position: a
+    plain basic instruction becomes a positive test whose branches converge,
+    a negative test becomes a positive test with swapped continuations, and
+    halts become gotos to the mandated tail.  Control transfers off either
+    end of the source sequence stay deadlocks (``#0``).  The extracted
+    behaviour of the result is bisimilar to that of the input.
     """
-    k = len(x)
-
-    def succ(j: int):
-        return ("pos", j) if 1 <= j <= k else _DEAD
-
-    blocks: list[list] = []
-    for i, u in enumerate(x, start=1):
+    blocks: list[tuple[Hashable, tuple]] = []
+    for i, (u,) in decode(x):
         if isinstance(u, Plain):
-            after = succ(i + 1)
-            blocks.append([("test", u.basic), ("goto", after), ("goto", after)])
+            items = (PosTest(u.basic), Goto(i + 1), Goto(i + 1))
         elif isinstance(u, PosTest):
-            blocks.append([("test", u.basic), ("goto", succ(i + 1)), ("goto", succ(i + 2))])
+            items = (u, Goto(i + 1), Goto(i + 2))
         elif isinstance(u, NegTest):
-            blocks.append([("test", u.basic), ("goto", succ(i + 2)), ("goto", succ(i + 1))])
-        elif isinstance(u, FwdJump):
-            blocks.append([("goto", succ(i + u.offset) if u.offset else _DEAD)])
-        elif isinstance(u, BwdJump):
-            blocks.append([("goto", succ(i - u.offset) if u.offset else _DEAD)])
-        elif isinstance(u, HaltP):
-            blocks.append([("goto", _EXIT_P)])
+            items = (PosTest(u.basic), Goto(i + 2), Goto(i + 1))
+        elif isinstance(u, (HaltP, HaltN)):
+            items = (Goto(u),)  # the tail block labelled by the halt
         else:
-            blocks.append([("goto", _EXIT_N)])
-
-    starts = {}
-    total = 0
-    for i, block in enumerate(blocks, start=1):
-        starts[i] = total + 1
-        total += len(block)
-
-    def resolve(target) -> int:
-        if target == _EXIT_P:
-            return total + 1
-        if target == _EXIT_N:
-            return total + 2
-        if target == _DEAD:
-            return 0  # placeholder; emitted as a zero-length jump
-        return starts[target[1]]
-
-    out: list[Instruction] = []
-    pos = 0
-    for block in blocks:
-        for item in block:
-            pos += 1
-            if item[0] == "test":
-                out.append(PosTest(item[1]))
-                continue
-            target = resolve(item[1])
-            if target == 0 or target == pos:
-                out.append(FwdJump(0))
-            elif target > pos:
-                out.append(FwdJump(target - pos))
-            else:
-                out.append(BwdJump(pos - target))
-    out.append(HaltP())
-    out.append(HaltN())
-    return Program(tuple(out))
+            items = (u,)
+        blocks.append((i, items))
+    blocks += [(HaltP(), (HaltP(),)), (HaltN(), (HaltN(),))]
+    return assemble(blocks)
 
 
 def is_normalized(x: Program) -> bool:

@@ -25,12 +25,16 @@ from .isa import (
     BasicInstruction,
     BwdJump,
     FwdJump,
+    Goto,
     HaltN,
     HaltP,
     NegTest,
     Plain,
     PosTest,
     Program,
+    assemble,
+    decode,
+    parse_program,
     repeat_instruction,
 )
 from .services import Reply
@@ -275,38 +279,30 @@ def _psi(basic: BasicInstruction) -> BasicInstruction:
     return BasicInstruction("f", method)
 
 
+_DECODE = parse_program("-f.iszero1 ; #3 ; f.fact5 ; !t ; f.fact5 ; !f")
+
+
 def rmlful(program: Program) -> Program:
     """Translate a six-register program to one over the universal unit.
 
     The wrapper first encodes the input into the exponent of two, then maps
-    each register instruction to its prime-exponent counterpart (jumps are
-    kept verbatim, halts become forward jumps into the decode block), and
-    finally decodes register 1 into the Boolean reply and register 2 into
-    the resulting state.
+    each register instruction to its prime-exponent counterpart, and finally
+    decodes register 1 into the Boolean reply and register 2 into the
+    resulting state.  Halts and control transfers to register position k+1
+    go to the decode block; any other transfer out of the register program
+    deadlocks, as it does under ``rm_run``.
     """
     validate_rml(program)
     k = len(program)
-    out: list = [Plain(BasicInstruction("f", "exp2"))]
-    for i, u in enumerate(program, start=1):
-        if isinstance(u, Plain):
-            out.append(Plain(_psi(u.basic)))
-        elif isinstance(u, PosTest):
-            out.append(PosTest(_psi(u.basic)))
-        elif isinstance(u, NegTest):
-            out.append(NegTest(_psi(u.basic)))
-        elif isinstance(u, (HaltP, HaltN)):
-            # from translated position i+1 to the decode block at k+2
-            out.append(FwdJump(k + 1 - i))
-        else:
-            out.append(u)
-    out.extend(
-        [
-            NegTest(BasicInstruction("f", "iszero1")),
-            FwdJump(3),
-            Plain(BasicInstruction("f", "fact5")),
-            HaltP(),
-            Plain(BasicInstruction("f", "fact5")),
-            HaltN(),
-        ]
-    )
-    return Program(tuple(out))
+    blocks: list = [("encode", (Plain(BasicInstruction("f", "exp2")),))]
+    for i, (u,) in decode(program):
+        if isinstance(u, (HaltP, HaltN)):
+            u = Goto(k + 1)
+        elif not isinstance(u, Goto):
+            u = type(u)(_psi(u.basic))
+        blocks.append((i, (u,)))
+    if isinstance(u, (PosTest, NegTest)):
+        # the last test's skip leaves the register program
+        blocks.append(("skip", (Goto(k + 1), FwdJump(0))))
+    blocks.append((k + 1, _DECODE))
+    return assemble(blocks)

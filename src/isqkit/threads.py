@@ -26,12 +26,14 @@ from .isa import (
     BasicInstruction,
     BwdJump,
     FwdJump,
+    Goto,
     HaltN,
     HaltP,
     NegTest,
     Plain,
     PosTest,
     Program,
+    assemble,
 )
 
 
@@ -88,11 +90,39 @@ TERM_N = TermN()
 
 @dataclass(frozen=True)
 class Branch:
-    """Internal node of a finite thread tree."""
+    """Internal node of a finite thread tree.
+
+    ``project`` shares subtrees, so the hash is taken once, at construction,
+    and ``==`` compares each pair of nodes once.
+    """
 
     action: Action
     true_branch: "FiniteThread"
     false_branch: "FiniteThread"
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.action, self.true_branch, self.false_branch)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Branch):
+            return NotImplemented
+        compared = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            if type(a) is not type(b) or hash(a) != hash(b):
+                return False
+            if isinstance(a, Branch):  # leaves of one type are equal
+                if a.action != b.action:
+                    return False
+                compared.add((id(a), id(b)))
+                stack += [(a.true_branch, b.true_branch), (a.false_branch, b.false_branch)]
+        return True
 
 
 FiniteThread = Union[Deadlock, TermP, TermN, Branch]
@@ -388,6 +418,9 @@ def minimize(s: LinearSpec) -> LinearSpec:
     return LinearSpec(tuple(entries), 0)
 
 
+_HALTS = {TermP: HaltP(), TermN: HaltN(), Deadlock: FwdJump(0)}
+
+
 def compile_thread(s: LinearSpec) -> Program:
     """A program whose extraction is bisimilar to s.
 
@@ -397,36 +430,15 @@ def compile_thread(s: LinearSpec) -> Program:
     """
     _require_tau_free(s, "compile_thread")
 
-    order = _number(s.root, lambda state: _successors(s.entries[state]))
-
-    starts: dict[int, int] = {}
-    total = 0
-    for state in order:
-        starts[state] = total + 1
-        total += 3 if isinstance(s.entries[state], Post) else 1
-
-    def jump_to(pos: int, target: int):
-        if target > pos:
-            return FwdJump(target - pos)
-        return BwdJump(pos - target)
-
-    out: list = []
-    pos = 0
-    for state in order:
+    blocks = []
+    for state in _number(s.root, lambda state: _successors(s.entries[state])):
         entry = s.entries[state]
-        pos += 1
-        if isinstance(entry, TermP):
-            out.append(HaltP())
-        elif isinstance(entry, TermN):
-            out.append(HaltN())
-        elif isinstance(entry, Deadlock):
-            out.append(FwdJump(0))
+        if isinstance(entry, Post):
+            items = (PosTest(entry.action), Goto(entry.true_next), Goto(entry.false_next))
         else:
-            out.append(PosTest(entry.action))
-            out.append(jump_to(pos + 1, starts[entry.true_next]))
-            out.append(jump_to(pos + 2, starts[entry.false_next]))
-            pos += 2
-    return Program(tuple(out))
+            items = (_HALTS[type(entry)],)
+        blocks.append((state, items))
+    return assemble(blocks)
 
 
 def dump(s: LinearSpec) -> str:

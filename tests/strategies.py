@@ -88,6 +88,29 @@ def random_normal_program(rng: random.Random, methods, max_body=6, focus="f") ->
     return Program(tuple(body) + (HaltP(), HaltN()))
 
 
+def random_rml_program(rng: random.Random, max_len=8, in_range=False) -> Program:
+    """A six-register program of 1..max_len instructions.
+
+    Jump targets range over positions 0..k+3.  With ``in_range`` they stay in
+    1..k+1 and no test ends the program, so control never leaves it.
+    """
+    k = rng.randint(1, max_len)
+    out = []
+    for p in range(1, k + 1):
+        basic = BasicInstruction(f"r{rng.randrange(6)}", rng.choice(("incr", "decr", "iszero")))
+        roll = rng.random()
+        if roll < 0.3:
+            out.append(Plain(basic))
+        elif roll < 0.55 and not (in_range and p == k):
+            out.append(PosTest(basic) if roll < 0.45 else NegTest(basic))
+        elif roll < 0.9:
+            q = rng.randint(1, k + 1) if in_range else rng.randint(0, k + 3)
+            out.append(FwdJump(q - p) if q >= p else BwdJump(p - q))
+        else:
+            out.append(HaltP() if rng.random() < 0.5 else HaltN())
+    return Program(tuple(out))
+
+
 def random_spec(rng: random.Random, max_states=8, foci=FOCI, methods=METHODS) -> LinearSpec:
     """A tau-free linear spec with 1..max_states states."""
     n = rng.randint(1, max_states)

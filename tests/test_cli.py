@@ -189,6 +189,12 @@ class TestTranslationCommands:
         assert len(lines) == 6
         assert lines[4] == "n=4 oracle=T,5 translated=T,5 match=yes"
 
+    def test_cosim_jump_past_the_end_diverges(self, capsys, program_file):
+        path = program_file("#2", name="past.rml")
+        code, out = run_cli(capsys, "cosim", "--rml", path, "--inputs", "0..2")
+        assert code == 0
+        assert out.splitlines() == [f"n={n} oracle=D translated=D match=yes" for n in range(3)]
+
     def test_cosim_budget_exhausted_is_unknown(self, capsys, program_file):
         path = program_file("r0.incr ; \\1", name="up.rml")
         code, out = run_cli(capsys, "cosim", "--rml", path, "--inputs", "0", "--budget", "50")

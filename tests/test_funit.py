@@ -134,6 +134,15 @@ class TestInlineCompose:
                 max_substitutions=32,
             )
 
+    def test_jump_off_an_implementation_diverges(self):
+        # b always replies true, so the implementation always jumps off its
+        # own end and diverges; composing it must not land in the host
+        unit = FunctionalUnit.from_tables(2, {"b": [(True, 0), (True, 1)]})
+        impl = parse_program("+f.b ; #5 ; !t ; !f")
+        composed = inline_compose(parse_program("f.a ; !t"), {"a": impl})
+        assert [derived_op(impl, unit)(s) for s in (0, 1)] == [UNDEFINED, UNDEFINED]
+        assert [derived_op(composed, unit)(s) for s in (0, 1)] == [UNDEFINED, UNDEFINED]
+
     def test_split_increment(self):
         # an increment realized as two half-steps over a doubled state space
         def half(x):

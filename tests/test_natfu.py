@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -19,6 +20,9 @@ from isqkit.natfu import (
     validate_rml,
 )
 from isqkit.services import Reply
+from isqkit.threads import Post, extract
+
+from .strategies import random_rml_program
 
 COUNTER = counter_unit()
 UNIV = univ_unit()
@@ -230,6 +234,39 @@ class TestTranslation:
                 reply, value = rm_run(program, n)
                 want = UNDEFINED if reply is Reply.D else (reply is Reply.T, value)
                 assert simulated(n) == want, (name, n)
+        # random programs whose jumps and test skips may leave the program;
+        # a translated run takes at most three more actions than the oracle
+        rng = random.Random(31)
+        for _ in range(300):
+            program = random_rml_program(rng)
+            translated = rmlful(program)
+            spec = extract(translated)
+            # the input is encoded once: no control transfer returns to it
+            assert all(
+                spec.root not in (e.true_next, e.false_next)
+                for e in spec.entries
+                if isinstance(e, Post)
+            ), program
+            simulated = derived_op(translated, UNIV, mode=ExecMode(203))
+            for n in range(5):
+                try:
+                    reply, value = rm_run(program, n, ExecMode(200))
+                except BudgetExhausted:
+                    continue
+                want = UNDEFINED if reply is Reply.D else (reply is Reply.T, value)
+                assert simulated(n) == want, (render_program(program), n)
+
+    @pytest.mark.parametrize("text", ["#2", "r0.incr ; #3", "\\1", "+r0.iszero"])
+    def test_transfers_out_of_the_program_diverge(self, text):
+        # jumps past position k+1 or before position 1, and a last test's
+        # skip, leave the register program; rm_run diverges there.  The small
+        # budget keeps a translation that loops through the input encoding,
+        # whose states form a tower of powers of two, finite.
+        program = parse_program(text)
+        simulated = derived_op(rmlful(program), UNIV, mode=ExecMode(4))
+        for n in (1, 2):
+            assert rm_run(program, n) == (Reply.D, 0)
+            assert simulated(n) is UNDEFINED
 
     def test_divergent_program_stays_divergent(self):
         program = parse_program("#0")

@@ -111,6 +111,35 @@ class TestProject:
         assert depth == 5000
         assert tree == DEADLOCK
 
+    def test_deep_cuts_hash_and_compare(self):
+        # project shares subtrees, so a depth-5000 tree has 5001 distinct
+        # nodes but 2**5000 paths; hashing and comparing visit each node once
+        spec = ex("f.m ; \\1")
+        a, b = project(spec, 5000), project(spec, 5000)
+        assert a is not b
+        assert hash(a) == hash(b)
+        assert a == b
+        assert a != project(spec, 4999)
+        assert tau_contract(project(spec, 400)) == project(spec, 400)
+
+
+class TestBranchEquality:
+    @given(finite_trees, finite_trees)
+    def test_structural(self, a, b):
+        def rebuild(t):
+            if isinstance(t, Branch):
+                return Branch(t.action, rebuild(t.true_branch), rebuild(t.false_branch))
+            return t
+
+        assert (a == b) == (repr(a) == repr(b))
+        copy = rebuild(a)
+        assert copy == a
+        assert hash(copy) == hash(a)
+
+    def test_leaf_is_not_a_branch(self):
+        assert Branch(FM, DEADLOCK, DEADLOCK) != DEADLOCK
+        assert DEADLOCK != Branch(FM, DEADLOCK, DEADLOCK)
+
 
 def breadth_first_order(spec):
     """The states reachable from the root, breadth-first, true successor first."""
