@@ -5,10 +5,20 @@ universal unit (``univ``) driven by prime-exponent encodings of six-register
 machines, and a three-method universal unit (``univ3``) that packs the
 twenty operations behind an index-selection scheme.
 
+The universal units hold their states as ``Nat``: the exponents of the six
+primes plus a cofactor coprime to them.  A register step multiplies or
+divides by one prime, which changes one exponent in O(1) however large the
+state, and cycle detection stores six small ints per state rather than the
+whole integer.  A ``Nat`` equals, orders and hashes as the int it denotes.
+It prints in decimal unless the interpreter's int-to-str limit (4300 digits
+by default) forbids it, and then in factored form, such as ``2^20000``.
+
 ``rm_run`` is a direct six-register machine interpreter used as an
 independent oracle for the ``rmlful`` translation: register i lives in the
 exponent of the (i+1)-th prime, so incrementing is multiplication,
-decrementing is division, and a zero test is a divisibility test.
+decrementing is division, and a zero test is a divisibility test.  It
+decodes the program once into per-position (kind, register, true delta,
+false delta) tuples and shares no code with ``execution.run``.
 
 Three methods suffice for universality (``univ3_unit``); one cannot, since
 repeatedly running any fixed program over a single method operation can
@@ -18,6 +28,11 @@ fact is mechanized here: the first is untestable, the second unanswered.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+import sys
+from functools import total_ordering
 
 from .execution import DEFAULT_MODE, BudgetExhausted, ExecMode
 from .funit import FunctionalUnit
@@ -44,16 +59,144 @@ PRIMES = (2, 3, 5, 7, 11, 13)
 RML_FOCI = tuple(f"r{i}" for i in range(6))
 RML_METHODS = ("incr", "decr", "iszero")
 
+_M = sys.hash_info.modulus
+_LOG2 = tuple(math.log2(p) for p in PRIMES)
+_LOG2_10 = math.log2(10)
+_NO_EXPS = (0,) * len(PRIMES)
 
-def _exponent(p: int, x: int) -> int:
-    """Largest e with p**e dividing x; zero by convention when x is zero."""
-    if x <= 0:
-        return 0
+
+def _strip(p: int, x: int) -> tuple[int, int]:
+    """(e, x // p**e) for the largest e with p**e dividing the positive x.
+
+    Divides out p**(2**j) for the largest j that still divides, so a factor
+    p**e costs O(log(e)**2) divisions rather than e.
+    """
     e = 0
     while x % p == 0:
-        x //= p
-        e += 1
-    return e
+        q, k = p, 1
+        while x % (q * q) == 0:
+            q, k = q * q, 2 * k
+        x //= q
+        e += k
+    return e, x
+
+
+@total_ordering
+class Nat:
+    """The natural 2^e0 * 3^e1 * 5^e2 * 7^e3 * 11^e4 * 13^e5 * r, kept factored.
+
+    ``exps`` holds e0..e5 and ``r`` the cofactor, coprime to the six primes;
+    r = 0 stands for zero, whose exponents are all 0.  Multiplying or
+    dividing by one of the primes changes one exponent, so the universal
+    units' register steps cost O(1) however large the state grows, and the
+    integer is built only by ``int()``.
+
+    A ``Nat`` is the natural it denotes: ``==``, ``hash`` and ordering agree
+    with the int, so states compare and hash alike whether they are held as
+    ``Nat`` or ``int``.  The hash is the int's hash, r * prod(p**e) modulo
+    ``sys.hash_info.modulus``, kept up to date with one modular
+    multiplication per step.  ``str`` prints decimal where the interpreter's
+    int-to-str limit allows it and the factored form, such as ``2^20000``,
+    otherwise.
+    """
+
+    __slots__ = ("exps", "r", "_hash")
+
+    def __init__(self, exps, r: int):
+        exps = tuple(operator.index(e) for e in exps)
+        r = operator.index(r)
+        if len(exps) != len(PRIMES) or min(exps) < 0 or r < 0:
+            raise ValueError("a Nat needs six natural exponents and a natural cofactor")
+        if r and any(r % p == 0 for p in PRIMES):
+            raise ValueError(f"cofactor {r} is divisible by one of {PRIMES}")
+        if not r:
+            exps = _NO_EXPS
+        h = r % _M
+        for p, e in zip(PRIMES, exps):
+            h = h * pow(p, e, _M) % _M
+        self.exps, self.r, self._hash = exps, r, h
+
+    @classmethod
+    def of(cls, x) -> "Nat":
+        """``x`` itself if it is a ``Nat``, else the int x factored."""
+        if type(x) is cls:
+            return x
+        n = operator.index(x)
+        if n < 0:
+            raise ValueError(f"{n} is not a natural")
+        if not n:
+            return ZERO
+        h = hash(n)
+        exps = []
+        for p in PRIMES:
+            e, n = _strip(p, n)
+            exps.append(e)
+        return _nat(tuple(exps), n, h)
+
+    def __int__(self) -> int:
+        n = self.r
+        for p, e in zip(PRIMES[1:], self.exps[1:]):
+            if e:
+                n *= p**e
+        return n << self.exps[0]
+
+    __index__ = __int__
+
+    def __bool__(self) -> bool:
+        return self.r != 0
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Nat:
+            return self.exps == other.exps and self.r == other.r
+        if isinstance(other, int):
+            return self._hash == hash(other) and int(self) == other
+        return NotImplemented
+
+    def __lt__(self, other) -> bool:
+        if not isinstance(other, (Nat, int)):
+            return NotImplemented
+        return int(self) < int(other)
+
+    def __str__(self) -> str:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # a lower bound on log2 of the value; past the threshold below, the
+        # decimal form surely has more digits than the limit allows
+        log2 = sum(e * lg for e, lg in zip(self.exps, _LOG2)) + self.r.bit_length() - 1
+        if not limit or log2 < limit * _LOG2_10 + 1:
+            try:
+                return str(int(self))
+            except ValueError:
+                pass
+        parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in zip(PRIMES, self.exps) if e]
+        if self.r != 1:
+            try:
+                parts.append(str(self.r))
+            except ValueError:  # the cofactor alone is too long for decimal
+                parts.append(hex(self.r))
+        return "*".join(parts)
+
+    __repr__ = __str__
+
+
+def _nat(exps: tuple, r: int, h: int) -> Nat:
+    """A Nat from fields known to be canonical, with its hash."""
+    x = object.__new__(Nat)
+    x.exps, x.r, x._hash = exps, r, h
+    return x
+
+
+ZERO = _nat(_NO_EXPS, 0, 0)
+
+
+def _exp2(n) -> Nat:
+    """2**n, without building it."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"{n} is not a natural")
+    return _nat((n, 0, 0, 0, 0, 0), 1, pow(2, n, _M))
 
 
 def counter_unit() -> FunctionalUnit:
@@ -91,26 +234,39 @@ def decr_n_unit(n: int) -> FunctionalUnit:
 
 
 def _univ_ops() -> dict:
-    ops: dict = {}
+    def exp2(x):
+        return (True, _exp2(x))
 
-    def exp2(x: int):
-        return (True, 2**x)
+    def fact5(x):
+        if type(x) is not Nat:
+            x = Nat.of(x)
+        return (True, x.exps[2])
 
-    def fact5(x: int):
-        return (True, _exponent(5, x))
-
-    ops["exp2"] = exp2
-    ops["fact5"] = fact5
+    ops = {"exp2": exp2, "fact5": fact5}
     for i, p in enumerate(PRIMES):
 
-        def succ(x: int, _p=p):
-            return (True, _p * x)
+        def succ(x, _i=i, _p=p):
+            if type(x) is not Nat:
+                x = Nat.of(x)
+            if not x.r:
+                return (True, x)
+            e = list(x.exps)
+            e[_i] += 1
+            return (True, _nat(tuple(e), x.r, x._hash * _p % _M))
 
-        def pred(x: int, _p=p):
-            return (True, x // _p) if x % _p == 0 else (False, x)
+        def pred(x, _i=i, _inv=pow(p, -1, _M)):
+            if type(x) is not Nat:
+                x = Nat.of(x)
+            if not x.exps[_i]:
+                return (not x.r, x)  # p divides zero, and zero // p is zero
+            e = list(x.exps)
+            e[_i] -= 1
+            return (True, _nat(tuple(e), x.r, x._hash * _inv % _M))
 
-        def iszero(x: int, _p=p):
-            return (x % _p != 0, x)
+        def iszero(x, _i=i):
+            if type(x) is not Nat:
+                x = Nat.of(x)
+            return (x.r != 0 and not x.exps[_i], x)
 
         ops[f"succ{i}"] = succ
         ops[f"pred{i}"] = pred
@@ -119,7 +275,11 @@ def _univ_ops() -> dict:
 
 
 def univ_unit() -> FunctionalUnit:
-    """The 20-method universal unit over prime-exponent encoded registers."""
+    """The 20-method universal unit over prime-exponent encoded registers.
+
+    Its states are ``Nat``s; an int state is factored once, by the first
+    operation applied to it.  ``fact5`` returns the exponent of five as an int.
+    """
     return FunctionalUnit.from_callables(_univ_ops())
 
 
@@ -130,7 +290,7 @@ UNIV_METHOD_ORDER: tuple[str, ...] = ("exp2", "fact5") + tuple(
 )
 
 
-_G2_CAP = 3**19
+_UNDO_SELECTOR = pow(3, -(len(UNIV_METHOD_ORDER) - 1), _M)
 
 
 def univ3_unit() -> FunctionalUnit:
@@ -143,30 +303,28 @@ def univ3_unit() -> FunctionalUnit:
     """
     univ_ops = univ_unit().ops
     selected = [univ_ops[name] for name in UNIV_METHOD_ORDER]
+    last = len(selected) - 1
 
-    def g1(x: int):
-        return (True, 2**x)
+    def g1(x):
+        return (True, _exp2(x))
 
-    def only_2_3(x: int) -> bool:
-        if x < 1:
-            return False
-        for p in (2, 3):
-            while x % p == 0:
-                x //= p
-        return x == 1
+    def g2(x):
+        if type(x) is not Nat:
+            x = Nat.of(x)
+        a, i, *others = x.exps
+        if x.r != 1 or any(others) or i > last:
+            return (False, ZERO)
+        if i == last:
+            return (True, _nat((a, 0, 0, 0, 0, 0), 1, x._hash * _UNDO_SELECTOR % _M))
+        return (True, _nat((a, i + 1, 0, 0, 0, 0), 1, x._hash * 3 % _M))
 
-    def g2(x: int):
-        if x % (_G2_CAP * 3) == 0 or not only_2_3(x):
-            return (False, 0)
-        if x % _G2_CAP == 0:
-            return (True, x // _G2_CAP)
-        return (True, 3 * x)
-
-    def g3(x: int):
-        i = _exponent(3, x)
-        if i >= len(selected):
-            return (False, 0)  # unreachable through g1/g2 discipline
-        return selected[i](_exponent(2, x))
+    def g3(x):
+        if type(x) is not Nat:
+            x = Nat.of(x)
+        a, i = x.exps[:2]
+        if i > last:
+            return (False, ZERO)  # unreachable through g1/g2 discipline
+        return selected[i](a)
 
     return FunctionalUnit.from_callables({"g1": g1, "g2": g2, "g3": g3})
 
@@ -193,26 +351,37 @@ def validate_rml(program: Program) -> None:
                 raise ValueError(f"foreign basic instruction {b}")
 
 
-def _register_step(regs: list[int], basic: BasicInstruction) -> Reply:
-    i = int(basic.focus[1])
-    c = regs[i]
-    if basic.method == "incr":
-        regs[i] = c + 1
-        return Reply.T
-    if basic.method == "decr":
-        if c > 0:
-            regs[i] = c - 1
-            return Reply.T
-        return Reply.F
-    return Reply.T if c == 0 else Reply.F  # iszero
+# Kinds of decoded register instructions.
+_INCR, _DECR, _ISZERO, _JUMP, _HALT, _DEAD = range(6)
+_KIND = {"incr": _INCR, "decr": _DECR, "iszero": _ISZERO}
+
+
+def _decode_registers(program: Program) -> list[tuple[int, int, int, int]]:
+    """Per position: (kind, register, position delta on true, delta on false)."""
+    code = []
+    for u in program:
+        if isinstance(u, (HaltP, HaltN)):
+            code.append((_HALT, 0, 0, 0))
+        elif isinstance(u, (FwdJump, BwdJump)):
+            delta = u.offset if isinstance(u, FwdJump) else -u.offset
+            code.append((_JUMP, 0, delta, delta) if delta else (_DEAD, 0, 0, 0))
+        else:
+            skip_on_true = isinstance(u, NegTest)
+            skip_on_false = isinstance(u, PosTest)
+            code.append(
+                (_KIND[u.basic.method], int(u.basic.focus[1]), 1 + skip_on_true, 1 + skip_on_false)
+            )
+    return code
 
 
 def _run_registers(program: Program, value: int, mode: ExecMode, trace: list | None):
     validate_rml(program)
+    code = _decode_registers(program)
     regs = [value, 0, 0, 0, 0, 0]
-    k = len(program)
+    k = len(code)
     pos = 1
     steps = 0
+    limit = mode.budget if mode.budget is not None else math.inf
     visited: set | None = set() if mode.detect_cycles else None
     while True:
         if pos == k + 1:
@@ -220,38 +389,36 @@ def _run_registers(program: Program, value: int, mode: ExecMode, trace: list | N
         if not 1 <= pos <= k:
             return (Reply.D, 0)
         if visited is not None:
-            config = (pos, tuple(regs))
+            config = (pos, *regs)
             if config in visited:
                 return (Reply.D, 0)
             visited.add(config)
-        if mode.budget is not None and steps >= mode.budget:
+        if steps >= limit:
             raise BudgetExhausted(f"register machine exceeded {mode.budget} steps")
-        instr = program[pos - 1]
+        kind, i, on_true, on_false = code[pos - 1]
         steps += 1
-        if isinstance(instr, (HaltP, HaltN)):
+        if kind == _ISZERO:
+            delta = on_false if regs[i] else on_true
+        elif kind == _JUMP:
+            pos += on_true
+            continue
+        elif kind == _DECR:
+            if regs[i]:
+                regs[i] -= 1
+                delta = on_true
+            else:
+                delta = on_false
+        elif kind == _INCR:
+            regs[i] += 1
+            delta = on_true
+        elif kind == _HALT:
             # halts signal completion; outputs are read from the registers
             return (Reply.T if regs[1] == 0 else Reply.F, regs[2])
-        if isinstance(instr, FwdJump):
-            if instr.offset == 0:
-                return (Reply.D, 0)
-            pos += instr.offset
-            continue
-        if isinstance(instr, BwdJump):
-            if instr.offset == 0:
-                return (Reply.D, 0)
-            pos -= instr.offset
-            if pos < 1:
-                return (Reply.D, 0)
-            continue
-        reply = _register_step(regs, instr.basic)
+        else:
+            return (Reply.D, 0)
         if trace is not None:
             trace.append((pos, tuple(regs)))
-        if isinstance(instr, Plain):
-            pos += 1
-        elif isinstance(instr, PosTest):
-            pos += 1 if reply is Reply.T else 2
-        else:  # NegTest
-            pos += 2 if reply is Reply.T else 1
+        pos += delta
 
 
 def rm_run(program: Program, value: int, mode: ExecMode = DEFAULT_MODE) -> tuple[Reply, int]:

@@ -315,25 +315,32 @@ def project(s: LinearSpec, n: int) -> FiniteThread:
 
 
 def tau_contract(t: FiniteThread) -> FiniteThread:
-    """Rewrite every tau branching to follow its true branch on both replies."""
-    memo: dict[FiniteThread, FiniteThread] = {}
+    """Rewrite every tau branching to follow its true branch on both replies.
 
-    def go(node: FiniteThread) -> FiniteThread:
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        if isinstance(node, Branch):
-            if isinstance(node.action, Tau):
-                tb = go(node.true_branch)
-                result: FiniteThread = Branch(TAU, tb, tb)
-            else:
-                result = Branch(node.action, go(node.true_branch), go(node.false_branch))
-        else:
-            result = node
-        memo[node] = result
-        return result
-
-    return go(t)
+    Folds the tree bottom-up with an explicit stack, each shared subtree once.
+    """
+    done: dict[int, FiniteThread] = {}  # id of a node -> its contraction
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        if not isinstance(node, Branch):
+            done[id(node)] = node
+            stack.pop()
+            continue
+        tau = isinstance(node.action, Tau)
+        children = (node.true_branch,) if tau else (node.true_branch, node.false_branch)
+        pending = [c for c in children if id(c) not in done]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        tb = done[id(node.true_branch)]
+        fb = tb if tau else done[id(node.false_branch)]
+        done[id(node)] = Branch(node.action, tb, fb)
+    return done[id(t)]
 
 
 def _label(entry: Entry):

@@ -125,6 +125,35 @@ class TestRunCommand:
         assert int(lines["steps"]) == payload["steps"]
         assert lines["state.f"] == payload["state"]["f"]
 
+    @pytest.mark.parametrize(
+        "extra, lines",
+        [
+            ((), ["reply=T state=2^20000", "status=completed", "steps=1", "state.f=2^20000"]),
+            (("--trace",), ["pos=0 action=f.exp2 reply=T state=2^20000", "reply=T state=2^20000"]),
+            (
+                ("--trace", "--json"),
+                [
+                    '{"action": "f.exp2", "pos": 0, "reply": "T", "state": "2^20000"}',
+                    '{"reply": "T", "state": {"f": "2^20000"}, "status": "completed", "steps": 1}',
+                ],
+            ),
+        ],
+    )
+    def test_state_beyond_the_int_to_str_limit(self, capsys, program_file, extra, lines):
+        # 2**20000 has 6021 decimal digits, more than the interpreter's
+        # default limit of 4300 for int-to-str conversion
+        path = program_file("f.exp2 ; !t", name="big.isq")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out = run_cli(
+                capsys, "run", "--program", path, "--family", "f=univ:20000", *extra
+            )
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 0
+        assert out.splitlines()[: len(lines)] == lines
+
     def test_parse_error_exit_65(self, capsys, program_file):
         path = program_file("???")
         code = main(["run", "--program", path, "--family", "f=counter:0"])

@@ -1,13 +1,27 @@
 import math
 import random
+import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from isqkit import natfu
 from isqkit.execution import BudgetExhausted, ExecMode
 from isqkit.funit import UNDEFINED, derived_op
-from isqkit.isa import parse_program, render_program
+from isqkit.isa import (
+    BwdJump,
+    FwdJump,
+    HaltN,
+    HaltP,
+    Plain,
+    PosTest,
+    parse_program,
+    render_program,
+)
 from isqkit.natfu import (
     PRIMES,
+    Nat,
     UNIV_METHOD_ORDER,
     counter_unit,
     decr_n_unit,
@@ -50,6 +64,172 @@ RM_CORPUS = {
         lambda n: (n % 2 == 0, 0),
     ),
 }
+
+
+# ---------------------------------------------------------------------------
+# oracles: the universal units over plain ints, and the register machine
+# interpreter's step loop before its program was decoded
+# ---------------------------------------------------------------------------
+
+
+def _exponent(p: int, x: int) -> int:
+    """Largest e with p**e dividing x; zero by convention when x is zero."""
+    if x <= 0:
+        return 0
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
+def int_univ_ops() -> dict:
+    ops: dict = {}
+
+    def exp2(x: int):
+        return (True, 2**x)
+
+    def fact5(x: int):
+        return (True, _exponent(5, x))
+
+    ops["exp2"] = exp2
+    ops["fact5"] = fact5
+    for i, p in enumerate(PRIMES):
+
+        def succ(x: int, _p=p):
+            return (True, _p * x)
+
+        def pred(x: int, _p=p):
+            return (True, x // _p) if x % _p == 0 else (False, x)
+
+        def iszero(x: int, _p=p):
+            return (x % _p != 0, x)
+
+        ops[f"succ{i}"] = succ
+        ops[f"pred{i}"] = pred
+        ops[f"iszero{i}"] = iszero
+    return ops
+
+
+_G2_CAP = 3**19
+
+
+def int_univ3_ops() -> dict:
+    selected = [int_univ_ops()[name] for name in UNIV_METHOD_ORDER]
+
+    def g1(x: int):
+        return (True, 2**x)
+
+    def only_2_3(x: int) -> bool:
+        if x < 1:
+            return False
+        for p in (2, 3):
+            while x % p == 0:
+                x //= p
+        return x == 1
+
+    def g2(x: int):
+        if x % (_G2_CAP * 3) == 0 or not only_2_3(x):
+            return (False, 0)
+        if x % _G2_CAP == 0:
+            return (True, x // _G2_CAP)
+        return (True, 3 * x)
+
+    def g3(x: int):
+        i = _exponent(3, x)
+        if i >= len(selected):
+            return (False, 0)
+        return selected[i](_exponent(2, x))
+
+    return {"g1": g1, "g2": g2, "g3": g3}
+
+
+def _register_step(regs: list[int], basic) -> Reply:
+    i = int(basic.focus[1])
+    c = regs[i]
+    if basic.method == "incr":
+        regs[i] = c + 1
+        return Reply.T
+    if basic.method == "decr":
+        if c > 0:
+            regs[i] = c - 1
+            return Reply.T
+        return Reply.F
+    return Reply.T if c == 0 else Reply.F  # iszero
+
+
+def reference_rm_run(program, value: int, mode: ExecMode, trace: list | None):
+    validate_rml(program)
+    regs = [value, 0, 0, 0, 0, 0]
+    k = len(program)
+    pos = 1
+    steps = 0
+    visited: set | None = set() if mode.detect_cycles else None
+    while True:
+        if pos == k + 1:
+            return (Reply.T if regs[1] == 0 else Reply.F, regs[2])
+        if not 1 <= pos <= k:
+            return (Reply.D, 0)
+        if visited is not None:
+            config = (pos, tuple(regs))
+            if config in visited:
+                return (Reply.D, 0)
+            visited.add(config)
+        if mode.budget is not None and steps >= mode.budget:
+            raise BudgetExhausted(f"register machine exceeded {mode.budget} steps")
+        instr = program[pos - 1]
+        steps += 1
+        if isinstance(instr, (HaltP, HaltN)):
+            return (Reply.T if regs[1] == 0 else Reply.F, regs[2])
+        if isinstance(instr, FwdJump):
+            if instr.offset == 0:
+                return (Reply.D, 0)
+            pos += instr.offset
+            continue
+        if isinstance(instr, BwdJump):
+            if instr.offset == 0:
+                return (Reply.D, 0)
+            pos -= instr.offset
+            if pos < 1:
+                return (Reply.D, 0)
+            continue
+        reply = _register_step(regs, instr.basic)
+        if trace is not None:
+            trace.append((pos, tuple(regs)))
+        if isinstance(instr, Plain):
+            pos += 1
+        elif isinstance(instr, PosTest):
+            pos += 1 if reply is Reply.T else 2
+        else:  # NegTest
+            pos += 2 if reply is Reply.T else 1
+
+
+INT_UNIV = int_univ_ops()
+INT_UNIV3 = int_univ3_ops()
+
+# states: small naturals (0 and 1 included), products of the six primes with
+# a cofactor, and encodings of two to three hundred bits
+_PRIME_POWERS = st.tuples(*[st.integers(0, 40)] * len(PRIMES))
+_COFACTORS = st.sampled_from([1, 17, 19 * 23, 29**3, 10**9 + 7])
+naturals = st.one_of(
+    st.integers(0, 2000),
+    st.builds(
+        lambda es, r: r * math.prod(p**e for p, e in zip(PRIMES, es)), _PRIME_POWERS, _COFACTORS
+    ),
+    st.builds(lambda a, r: r << a, st.integers(0, 300), _COFACTORS),
+)
+# exp2 and g1 stay on inputs whose powers of two are cheap to build as ints
+_EXP_INPUT_CAP = 3000
+
+
+def _check_step(op, oracle, v):
+    """Apply one operation to v, check it against the oracle, return the new state."""
+    got = op(v)
+    want = oracle(int(v))
+    assert got == want, (v, got, want)
+    assert hash(got[1]) == hash(int(got[1]))
+    assert int(got[1]) == want[1]
+    return got[1]
 
 
 class TestCounter:
@@ -146,6 +326,99 @@ class TestUniv3:
                 assert flag is True
 
 
+class TestNat:
+    def test_equals_and_hashes_as_the_int(self):
+        for n in (0, 1, 2, 17, 12 * 17, 2**70 * 13, 3**50 * 101):
+            v = Nat.of(n)
+            assert v == n and n == v and hash(v) == hash(n)
+            assert int(v) == n and str(v) == str(n) and repr(v) == str(n)
+            assert v != n + 1 and Nat.of(n + 1) != v
+            assert {v: "x"}[n] == "x"
+        assert Nat.of(12) < 13 and Nat.of(12) <= 12 and 11 < Nat.of(12) and Nat.of(12) > Nat.of(3)
+        assert not Nat.of(0) and Nat.of(5)
+        assert list(range(10))[Nat.of(3)] == 3
+        assert Nat.of(2) != "2"
+        # the modulus plus one hashes as 1: equality must not stop at the hash
+        m = sys.hash_info.modulus
+        assert hash(m + 1) == hash(1) and Nat.of(m + 1) != 1 and Nat.of(m + 1) != Nat.of(1)
+
+    def test_of_factors_out_the_six_primes(self):
+        v = Nat.of(2**5 * 3 * 13**2 * 17)
+        assert (v.exps, v.r) == ((5, 1, 0, 0, 0, 2), 17)
+        assert Nat.of(v) is v
+        assert Nat.of(0).exps == (0,) * 6 and Nat.of(0).r == 0
+
+    def test_constructor(self):
+        assert Nat((3, 0, 1, 0, 0, 0), 17) == 8 * 5 * 17
+        assert hash(Nat((200, 0, 0, 0, 0, 7), 1)) == hash(2**200 * 13**7)
+        assert Nat((4, 1, 0, 0, 0, 0), 0) == 0 and Nat((4, 1, 0, 0, 0, 0), 0).exps == (0,) * 6
+        for exps, r in [((0,) * 6, 34), ((0,) * 5, 1), ((-1, 0, 0, 0, 0, 0), 1), ((0,) * 6, -1)]:
+            with pytest.raises(ValueError):
+                Nat(exps, r)
+        with pytest.raises(ValueError):
+            Nat.of(-3)
+
+    def test_factored_beyond_the_int_to_str_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert str(Nat.of(2**20000)) == "2^20000"
+            assert str(Nat((20000, 1, 0, 3, 0, 0), 17)) == "2^20000*3*7^3*17"
+            # a cofactor that is itself too long for decimal is printed in hex
+            big = 17**4000
+            assert str(Nat.of(big)) == hex(big)
+            # right at the limit: 4300 digits print in decimal, 4301 do not
+            assert str(Nat.of(10**4299)) == str(10**4299)
+            assert str(Nat.of(10**4300)) == "2^4300*5^4300"
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_exp2_keeps_the_exponent(self):
+        flag, v = UNIV.ops["exp2"](10**9)
+        assert flag and v.exps == (10**9, 0, 0, 0, 0, 0) and v.r == 1
+        assert hash(v) == pow(2, 10**9, sys.hash_info.modulus)
+        assert UNIV.ops["fact5"](UNIV.ops["succ2"](v)[1]) == (True, 1)
+
+
+class TestAgainstIntOracle:
+    @given(naturals, st.sampled_from(UNIV_METHOD_ORDER))
+    def test_univ_operation(self, n, name):
+        if name == "exp2" and n > _EXP_INPUT_CAP:
+            n %= _EXP_INPUT_CAP
+        for v in (n, Nat.of(n)):
+            _check_step(UNIV.ops[name], INT_UNIV[name], v)
+
+    @given(naturals, st.lists(st.sampled_from(UNIV_METHOD_ORDER), max_size=30))
+    def test_univ_chains(self, n, names):
+        v = n
+        for name in names:
+            if name == "exp2" and v > _EXP_INPUT_CAP:
+                continue
+            v = _check_step(UNIV.ops[name], INT_UNIV[name], v)
+
+    @given(
+        st.one_of(
+            naturals,
+            # selectors near and past the wrap of g2
+            st.builds(
+                lambda a, i, r: r * 2**a * 3**i,
+                st.integers(0, 200),
+                st.integers(17, 21),
+                _COFACTORS,
+            ),
+        ),
+        st.lists(st.sampled_from(["g1", "g2", "g2", "g2", "g3"]), max_size=40),
+    )
+    def test_univ3_chains(self, n, names):
+        v = n
+        for name in names:
+            if name == "g1" and v > _EXP_INPUT_CAP:
+                continue
+            if name == "g3" and _exponent(3, int(v)) == 0 and _exponent(2, int(v)) > _EXP_INPUT_CAP:
+                continue  # selector 0 is exp2 of the exponent of two
+            v = _check_step(UNIV3.ops[name], INT_UNIV3[name], v)
+
+
 class TestUniv3Programs:
     def test_zero_repetitions_shape(self):
         assert render_program(univ3_program(0)) == "f.g1 ; #1 ; +f.g3 ; !t ; !f"
@@ -201,6 +474,40 @@ class TestRegisterMachine:
             validate_rml(parse_program("f.incr ; !t"))
         with pytest.raises(ValueError):
             validate_rml(parse_program("r7.incr ; !t"))
+
+
+class TestDecodedRegisterOracle:
+    @staticmethod
+    def outcome(interpreter, program, n, mode):
+        trace: list = []
+        try:
+            result = interpreter(program, n, mode, trace)
+        except BudgetExhausted as exc:
+            result = ("budget", str(exc))
+        return result, trace
+
+    def test_agrees_with_the_reference_loop(self):
+        rng = random.Random(606)
+        modes = [
+            ExecMode(budget, cycles) for budget in [*range(13), 1000] for cycles in (True, False)
+        ]
+        programs = [parse_program(text) for text, _ in RM_CORPUS.values()]
+        programs += [
+            parse_program(t) for t in ("#0", "\\1", "!t", "!f", "r1.incr ; !f", "+r0.decr")
+        ]
+        programs += [random_rml_program(rng) for _ in range(400)]
+        for program in programs:
+            for n in range(4):
+                for mode in modes:
+                    want = self.outcome(reference_rm_run, program, n, mode)
+                    assert self.outcome(natfu._run_registers, program, n, mode) == want, (
+                        render_program(program),
+                        n,
+                        mode,
+                    )
+                    if want[0][0] != "budget":
+                        assert rm_run(program, n, mode) == want[0]
+                        assert rm_trace(program, n, mode) == want[1]
 
 
 class TestTranslation:

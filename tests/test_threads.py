@@ -285,6 +285,27 @@ class TestTauContract:
         once = tau_contract(tree)
         assert tau_contract(once) == once
 
+    @given(finite_trees)
+    def test_agrees_with_the_recursive_rewrite(self, tree):
+        def reference(node):
+            if not isinstance(node, Branch):
+                return node
+            tb = reference(node.true_branch)
+            if node.action == TAU:
+                return Branch(TAU, tb, tb)
+            return Branch(node.action, tb, reference(node.false_branch))
+
+        assert tau_contract(tree) == reference(tree)
+
+    def test_deep_trees(self):
+        spec = ex("f.m ; \\1")
+        assert tau_contract(project(spec, 5000)) == project(spec, 5000)
+        chain, contracted = TERM_N, TERM_N
+        for _ in range(5000):
+            chain = Branch(TAU, chain, TERM_P)
+            contracted = Branch(TAU, contracted, contracted)
+        assert tau_contract(chain) == contracted
+
 
 class TestDump:
     def test_format(self):
