@@ -65,22 +65,6 @@ _LOG2_10 = math.log2(10)
 _NO_EXPS = (0,) * len(PRIMES)
 
 
-def _strip(p: int, x: int) -> tuple[int, int]:
-    """(e, x // p**e) for the largest e with p**e dividing the positive x.
-
-    Divides out p**(2**j) for the largest j that still divides, so a factor
-    p**e costs O(log(e)**2) divisions rather than e.
-    """
-    e = 0
-    while x % p == 0:
-        q, k = p, 1
-        while x % (q * q) == 0:
-            q, k = q * q, 2 * k
-        x //= q
-        e += k
-    return e, x
-
-
 @total_ordering
 class Nat:
     """The natural 2^e0 * 3^e1 * 5^e2 * 7^e3 * 11^e4 * 13^e5 * r, kept factored.
@@ -97,24 +81,10 @@ class Nat:
     ``sys.hash_info.modulus``, kept up to date with one modular
     multiplication per step.  ``str`` prints decimal where the interpreter's
     int-to-str limit allows it and the factored form, such as ``2^20000``,
-    otherwise.
+    otherwise.  ``Nat.of`` makes one from an int.
     """
 
     __slots__ = ("exps", "r", "_hash")
-
-    def __init__(self, exps, r: int):
-        exps = tuple(operator.index(e) for e in exps)
-        r = operator.index(r)
-        if len(exps) != len(PRIMES) or min(exps) < 0 or r < 0:
-            raise ValueError("a Nat needs six natural exponents and a natural cofactor")
-        if r and any(r % p == 0 for p in PRIMES):
-            raise ValueError(f"cofactor {r} is divisible by one of {PRIMES}")
-        if not r:
-            exps = _NO_EXPS
-        h = r % _M
-        for p, e in zip(PRIMES, exps):
-            h = h * pow(p, e, _M) % _M
-        self.exps, self.r, self._hash = exps, r, h
 
     @classmethod
     def of(cls, x) -> "Nat":
@@ -129,7 +99,10 @@ class Nat:
         h = hash(n)
         exps = []
         for p in PRIMES:
-            e, n = _strip(p, n)
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
             exps.append(e)
         return _nat(tuple(exps), n, h)
 
@@ -238,16 +211,14 @@ def _univ_ops() -> dict:
         return (True, _exp2(x))
 
     def fact5(x):
-        if type(x) is not Nat:
-            x = Nat.of(x)
+        x = Nat.of(x)
         return (True, x.exps[2])
 
     ops = {"exp2": exp2, "fact5": fact5}
     for i, p in enumerate(PRIMES):
 
         def succ(x, _i=i, _p=p):
-            if type(x) is not Nat:
-                x = Nat.of(x)
+            x = Nat.of(x)
             if not x.r:
                 return (True, x)
             e = list(x.exps)
@@ -255,8 +226,7 @@ def _univ_ops() -> dict:
             return (True, _nat(tuple(e), x.r, x._hash * _p % _M))
 
         def pred(x, _i=i, _inv=pow(p, -1, _M)):
-            if type(x) is not Nat:
-                x = Nat.of(x)
+            x = Nat.of(x)
             if not x.exps[_i]:
                 return (not x.r, x)  # p divides zero, and zero // p is zero
             e = list(x.exps)
@@ -264,8 +234,7 @@ def _univ_ops() -> dict:
             return (True, _nat(tuple(e), x.r, x._hash * _inv % _M))
 
         def iszero(x, _i=i):
-            if type(x) is not Nat:
-                x = Nat.of(x)
+            x = Nat.of(x)
             return (x.r != 0 and not x.exps[_i], x)
 
         ops[f"succ{i}"] = succ
@@ -309,8 +278,7 @@ def univ3_unit() -> FunctionalUnit:
         return (True, _exp2(x))
 
     def g2(x):
-        if type(x) is not Nat:
-            x = Nat.of(x)
+        x = Nat.of(x)
         a, i, *others = x.exps
         if x.r != 1 or any(others) or i > last:
             return (False, ZERO)
@@ -319,8 +287,7 @@ def univ3_unit() -> FunctionalUnit:
         return (True, _nat((a, i + 1, 0, 0, 0, 0), 1, x._hash * 3 % _M))
 
     def g3(x):
-        if type(x) is not Nat:
-            x = Nat.of(x)
+        x = Nat.of(x)
         a, i = x.exps[:2]
         if i > last:
             return (False, ZERO)  # unreachable through g1/g2 discipline
