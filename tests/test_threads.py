@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from isqkit.isa import BasicInstruction, parse_program
+from isqkit.isa import BasicInstruction, normalize, parse_program, render_program
 from isqkit.threads import (
     DEADLOCK,
     TAU,
@@ -183,6 +184,24 @@ class TestNumbering:
             assert_breadth_first(spec)
             self.check(spec)
             self.check(random_spec(rng, max_states=10))
+
+    def test_seeded_outputs_are_pinned(self):
+        # extract, truncate, minimize and compile_thread output, byte for byte
+        digest = hashlib.sha256()
+        rng = random.Random(2027)
+        for _ in range(2000):
+            program = random_program(rng, max_len=12)
+            digest.update(dump(extract(program)).encode() + b"\n")
+            digest.update(dump(extract(normalize(program))).encode() + b"\n")
+        for _ in range(2000):
+            spec = random_spec(rng, max_states=10)
+            for depth in range(7):
+                digest.update(dump(truncate(spec, depth)).encode() + b"\n")
+            digest.update(dump(minimize(spec)).encode() + b"\n")
+            digest.update(render_program(compile_thread(spec)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "4ac9b6d50561b5ca36397e8cfe30009afd94684bc143853823e02e1e08d7e592"
+        )
 
 
 class TestBisimilar:
