@@ -164,10 +164,10 @@ def run(
             assert isinstance(entry, Deadlock)
             return finish(Status.PROVEN_DIVERGENT, Reply.D)
         if visited is not None:
-            config = (cur, *states)
-            if config in visited:
+            seen = len(visited)
+            visited.add((cur, *states))  # one hash per configuration
+            if len(visited) == seen:
                 return finish(Status.PROVEN_DIVERGENT, Reply.D)
-            visited.add(config)
         if steps >= limit:
             return finish(Status.BUDGET_EXHAUSTED, Reply.D)
         if slot >= 0:

@@ -6,7 +6,7 @@ performs an action and branches on the reply.  Regular threads have finitely
 many states and are represented here by ``LinearSpec``: a table of entries
 indexed by state id, plus a root id.
 
-``extract`` maps a program to its thread, resolving jump chains eagerly (a
+``extract`` maps a program to its thread, resolving each jump chain once (a
 cycle consisting solely of jumps is a deadlock).  ``truncate`` cuts a thread
 off after a given number of actions, as a linear spec; ``project`` is the
 same cut viewed as a finite tree.  ``bisimilar`` decides behavioural equality
@@ -15,6 +15,9 @@ program with bisimilar extraction.
 
 All specs built here, and the block order of ``compile_thread``, share one
 numbering: breadth-first from root 0, the true successor before the false.
+The private builder ``_build`` is its one home: each caller only says what
+one state looks like, keyed by a resolved position (``extract``), a
+(state, depth) pair (``truncate``) or a block (``minimize``).
 """
 
 from __future__ import annotations
@@ -163,106 +166,75 @@ def _require_tau_free(s: LinearSpec, operation: str):
         raise ValueError(f"{operation} is only defined for tau-free threads")
 
 
-def _successors(entry: Entry) -> tuple[int, ...]:
-    """The true and false successors of a ``Post``; no successors otherwise."""
-    if isinstance(entry, Post):
-        return entry.true_next, entry.false_next
-    return ()
+def _build(root, node) -> LinearSpec:
+    """The spec of every key reachable from ``root``, numbered breadth-first.
 
-
-def _number(root, successors) -> dict:
-    """Every key reachable from ``root``, numbered breadth-first from 0.
-
-    ``successors(key)`` gives a key's successors in the order they are
-    visited.  The returned dict iterates its keys in numbering order.
+    ``node(key)`` is either a termination or deadlock entry or an
+    ``(action, true_key, false_key)`` triple.  Keys are numbered from 0 in
+    the order they are first reached, the true successor before the false.
     """
     index = {root: 0}
     order = [root]
+    entries: list[Entry] = []
     for key in order:
-        for nxt in successors(key):
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-    return index
+        entry = node(key)
+        if type(entry) is tuple:
+            action, t, f = entry
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            if f not in index:
+                index[f] = len(order)
+                order.append(f)
+            entry = Post(action, index[t], index[f])
+        entries.append(entry)
+    return LinearSpec(entries, 0)
 
 
 def extract(x: Program) -> LinearSpec:
     """Thread extraction: one state per reachable non-jump position.
 
-    Jump aliases are resolved away eagerly; a control transfer off either end
-    of the sequence, a zero-length jump, and any cycle consisting solely of
-    jump instructions all become a deadlock state.
+    Jump aliases are resolved away; a control transfer off either end of the
+    sequence, a zero-length jump, and any cycle consisting solely of jump
+    instructions all become a deadlock state (key ``None``).
     """
     k = len(x)
-    cache: dict[int, int | None] = {}
+    target: dict[int, int | None] = {}  # position -> where control settles
 
     def resolve(i: int) -> int | None:
-        seen: list[int] = []
-        cur = i
-        result: int | None
-        while True:
-            if cur in cache:
-                result = cache[cur]
-                break
-            if not 1 <= cur <= k:
-                result = None
-                break
-            instr = x[cur - 1]
+        path = []
+        while i not in target:
+            instr = x[i - 1] if 1 <= i <= k else None
             if isinstance(instr, FwdJump):
-                nxt = cur + instr.offset
+                nxt = i + instr.offset
             elif isinstance(instr, BwdJump):
-                nxt = max(0, cur - instr.offset)
+                nxt = i - instr.offset
             else:
-                result = cur
+                target[i] = None if instr is None else i
                 break
-            if cur in seen:
-                result = None  # jumps forever
-                break
-            seen.append(cur)
-            cur = nxt
-        for p in seen:
-            cache[p] = result
-        cache[i] = result
-        return result
+            target[i] = None  # until the path settles: a jump-only cycle deadlocks
+            path.append(i)
+            i = nxt
+        for p in path:
+            target[p] = target[i]
+        return target[i]
 
-    entries: list[Entry | None] = []
-    index: dict[int | None, int] = {}
-    order: list[int | None] = []
+    def node(pos: int | None):
+        if pos is None:
+            return DEADLOCK
+        instr = x[pos - 1]
+        if isinstance(instr, HaltP):
+            return TERM_P
+        if isinstance(instr, HaltN):
+            return TERM_N
+        if isinstance(instr, Plain):
+            nxt = resolve(pos + 1)
+            return instr.basic, nxt, nxt
+        if isinstance(instr, PosTest):
+            return instr.basic, resolve(pos + 1), resolve(pos + 2)
+        return instr.basic, resolve(pos + 2), resolve(pos + 1)  # NegTest
 
-    def state_id(target: int | None) -> int:
-        if target not in index:
-            index[target] = len(order)
-            order.append(target)
-            entries.append(None)
-        return index[target]
-
-    root = state_id(resolve(1))
-    sid = 0
-    while sid < len(order):
-        target = order[sid]
-        if target is None:
-            entries[sid] = DEADLOCK
-        else:
-            instr = x[target - 1]
-            if isinstance(instr, HaltP):
-                entries[sid] = TERM_P
-            elif isinstance(instr, HaltN):
-                entries[sid] = TERM_N
-            elif isinstance(instr, Plain):
-                nid = state_id(resolve(target + 1))
-                entries[sid] = Post(instr.basic, nid, nid)
-            elif isinstance(instr, PosTest):
-                entries[sid] = Post(
-                    instr.basic, state_id(resolve(target + 1)), state_id(resolve(target + 2))
-                )
-            elif isinstance(instr, NegTest):
-                entries[sid] = Post(
-                    instr.basic, state_id(resolve(target + 2)), state_id(resolve(target + 1))
-                )
-            else:  # jumps never survive resolve
-                raise AssertionError("unresolved jump")
-        sid += 1
-    return LinearSpec(tuple(entries), root)
+    return _build(resolve(1), node)
 
 
 def truncate(s: LinearSpec, n: int) -> LinearSpec:
@@ -274,30 +246,16 @@ def truncate(s: LinearSpec, n: int) -> LinearSpec:
     if n < 0:
         raise ValueError("projection depth must be a natural")
 
-    def successors(key: tuple[int, int]):
+    def node(key: tuple[int, int]):
         state, depth = key
         entry = s.entries[state]
-        if depth and isinstance(entry, Post):
-            return (entry.true_next, depth - 1), (entry.false_next, depth - 1)
-        return ()
-
-    index = _number((s.root, n), successors)
-    entries: list[Entry] = []
-    for state, depth in index:
-        entry = s.entries[state]
         if depth == 0:
-            entries.append(DEADLOCK)
-        elif isinstance(entry, Post):
-            entries.append(
-                Post(
-                    entry.action,
-                    index[entry.true_next, depth - 1],
-                    index[entry.false_next, depth - 1],
-                )
-            )
-        else:
-            entries.append(entry)
-    return LinearSpec(tuple(entries), 0)
+            return DEADLOCK
+        if isinstance(entry, Post):
+            return entry.action, (entry.true_next, depth - 1), (entry.false_next, depth - 1)
+        return entry
+
+    return _build((s.root, n), node)
 
 
 def project(s: LinearSpec, n: int) -> FiniteThread:
@@ -407,22 +365,17 @@ def minimize(s: LinearSpec) -> LinearSpec:
             break
         part = new_part
 
-    # renumber the blocks reachable from the root; the states of a block
-    # agree on label and successor blocks, so any one represents it
+    # the states of a block agree on label and successor blocks, so any one
+    # represents it
     rep = {b: i for i, b in enumerate(part)}
-    index = _number(
-        part[s.root], lambda b: [part[nxt] for nxt in _successors(s.entries[rep[b]])]
-    )
-    entries: list[Entry] = []
-    for b in index:
+
+    def node(b: int):
         entry = s.entries[rep[b]]
         if isinstance(entry, Post):
-            entries.append(
-                Post(entry.action, index[part[entry.true_next]], index[part[entry.false_next]])
-            )
-        else:
-            entries.append(entry)
-    return LinearSpec(tuple(entries), 0)
+            return entry.action, part[entry.true_next], part[entry.false_next]
+        return entry
+
+    return _build(part[s.root], node)
 
 
 _HALTS = {TermP: HaltP(), TermN: HaltN(), Deadlock: FwdJump(0)}
@@ -437,14 +390,19 @@ def compile_thread(s: LinearSpec) -> Program:
     """
     _require_tau_free(s, "compile_thread")
 
-    blocks = []
-    for state in _number(s.root, lambda state: _successors(s.entries[state])):
+    def node(state: int):
         entry = s.entries[state]
+        if isinstance(entry, Post):
+            return entry.action, entry.true_next, entry.false_next
+        return entry
+
+    blocks = []
+    for i, entry in enumerate(_build(s.root, node).entries):
         if isinstance(entry, Post):
             items = (PosTest(entry.action), Goto(entry.true_next), Goto(entry.false_next))
         else:
             items = (_HALTS[type(entry)],)
-        blocks.append((state, items))
+        blocks.append((i, items))
     return assemble(blocks)
 
 

@@ -1,11 +1,21 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from isqkit.isa import BasicInstruction, normalize, parse_program, render_program
+from isqkit.isa import (
+    BasicInstruction,
+    BwdJump,
+    FwdJump,
+    HaltP,
+    Program,
+    normalize,
+    parse_program,
+    render_program,
+)
 from isqkit.threads import (
     DEADLOCK,
     TAU,
@@ -77,6 +87,19 @@ class TestExtract:
         spec = ex("f.m")
         root = spec.entries[spec.root]
         assert isinstance(spec.entries[root.true_next], Deadlock)
+
+    def test_long_jump_chain_resolves_once(self):
+        # each position is resolved once, so a 50k-jump chain is linear work
+        chain = Program((FwdJump(1),) * 50_000 + (HaltP(),))
+        start = time.perf_counter()
+        assert extract(chain).entries == (TERM_P,)
+        assert time.perf_counter() - start < 5.0
+
+    def test_long_jump_cycle_deadlocks(self):
+        cycle = Program((FwdJump(1),) * 49_999 + (BwdJump(49_999),))
+        start = time.perf_counter()
+        assert extract(cycle).entries == (DEADLOCK,)
+        assert time.perf_counter() - start < 5.0
 
     @given(linear_specs())
     def test_never_contains_tau(self, spec):
