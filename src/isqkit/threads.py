@@ -32,7 +32,6 @@ from .isa import (
     Goto,
     HaltN,
     HaltP,
-    NegTest,
     Plain,
     PosTest,
     Program,
@@ -196,7 +195,7 @@ def extract(x: Program) -> LinearSpec:
 
     Jump aliases are resolved away; a control transfer off either end of the
     sequence, a zero-length jump, and any cycle consisting solely of jump
-    instructions all become a deadlock state (key ``None``).
+    instructions all become a deadlock state.
     """
     k = len(x)
     target: dict[int, int | None] = {}  # position -> where control settles
