@@ -2,12 +2,14 @@ import ast
 import hashlib
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given
 
 import isqkit
 from isqkit.isa import (
+    IDENT_RE,
     BasicInstruction,
     BwdJump,
     FwdJump,
@@ -33,6 +35,121 @@ from isqkit.threads import TermN, TermP, bisimilar, compile_thread, extract
 from .strategies import programs, random_program, random_rml_program, random_spec
 
 FM = BasicInstruction("f", "m")
+
+
+def reference_parse_program(text: str) -> Program:
+    """A character-by-character parser of the same grammar, kept as an oracle."""
+    nat_re = re.compile(r"0|[1-9][0-9]*")
+    instrs = []
+    pos = 0
+    n = len(text)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_nat() -> int:
+        nonlocal pos
+        m = nat_re.match(text, pos)
+        if not m:
+            raise ParseError("expected a natural number", pos)
+        pos = m.end()
+        return int(m.group())
+
+    def parse_ident() -> str:
+        nonlocal pos
+        m = IDENT_RE.match(text, pos)
+        if not m:
+            raise ParseError("expected an identifier", pos)
+        pos = m.end()
+        return m.group()
+
+    def parse_basic() -> BasicInstruction:
+        nonlocal pos
+        focus = parse_ident()
+        if pos >= n or text[pos] != ".":
+            raise ParseError("expected '.' in basic instruction", pos)
+        pos += 1
+        return BasicInstruction(focus, parse_ident())
+
+    def parse_instruction():
+        nonlocal pos
+        if pos >= n:
+            raise ParseError("expected an instruction", pos)
+        ch = text[pos]
+        if ch == "!":
+            if text.startswith("!t", pos):
+                pos += 2
+                return HaltP()
+            if text.startswith("!f", pos):
+                pos += 2
+                return HaltN()
+            raise ParseError("expected '!t' or '!f'", pos)
+        if ch == "#":
+            pos += 1
+            return FwdJump(parse_nat())
+        if ch == "\\":
+            pos += 1
+            return BwdJump(parse_nat())
+        if ch == "+":
+            pos += 1
+            return PosTest(parse_basic())
+        if ch == "-":
+            pos += 1
+            return NegTest(parse_basic())
+        if ch.isalpha() and ch.islower():
+            return Plain(parse_basic())
+        raise ParseError(f"unexpected character {ch!r}", pos)
+
+    skip_ws()
+    if pos == n:
+        raise ParseError("empty program", pos)
+    while True:
+        instrs.append(parse_instruction())
+        skip_ws()
+        if pos == n:
+            break
+        if text[pos] != ";":
+            raise ParseError("expected ';' or end of input", pos)
+        pos += 1
+        skip_ws()
+        if pos == n:
+            raise ParseError("expected an instruction after ';'", pos)
+    return Program(tuple(instrs))
+
+
+def parse_outcome(parse, text):
+    """The program parsed from text, or the message and offset of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+# characters the grammar uses, whitespace it skips, and characters it rejects
+# (non-ASCII lowercase letters among them)
+MUTATION_ALPHABET = "!tf#\\+-.;019amnz_ \t\n\r\x0b\x1c\xa0\u2003\u3000FQ?@éßΩ٣"
+
+
+def mutated_text(rng: random.Random) -> str:
+    """A rendered random program, respaced, then edited a few characters at a time."""
+    seps = ["", " ", "  ", "\t", "\n", "\u00a0"]
+    parts = [str(u) for u in random_program(rng, max_len=6)]
+    text = "".join(
+        rng.choice(seps) + part + rng.choice(seps) + (";" if i < len(parts) - 1 else "")
+        for i, part in enumerate(parts)
+    )
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        i = rng.randint(0, len(text))
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i + 1 :]
+    return text
 
 
 class TestParse:
@@ -78,6 +195,53 @@ class TestParse:
     @given(programs)
     def test_roundtrip(self, program):
         assert parse_program(render_program(program)) == program
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "empty program", 0),
+            (" \t\n\u3000", "empty program", 4),
+            ("!x", "expected '!t' or '!f'", 0),
+            ("!t ; !", "expected '!t' or '!f'", 5),
+            ("#", "expected a natural number", 1),
+            ("!t ; \\-1", "expected a natural number", 6),
+            ("# 1", "expected a natural number", 1),
+            ("+.m", "expected an identifier", 1),
+            ("- f.m", "expected an identifier", 1),
+            ("f.", "expected an identifier", 2),
+            ("f.M", "expected an identifier", 2),
+            ("é.m", "expected an identifier", 0),
+            ("+ß.m", "expected an identifier", 1),
+            ("f", "expected '.' in basic instruction", 1),
+            ("f .m", "expected '.' in basic instruction", 1),
+            ("+f_1;!t", "expected '.' in basic instruction", 4),
+            ("?f.m", "unexpected character '?'", 0),
+            ("!t ; F.m", "unexpected character 'F'", 5),
+            ("!t ; 1", "unexpected character '1'", 5),
+            ("!t ; ;", "unexpected character ';'", 5),
+            ("!t !f", "expected ';' or end of input", 3),
+            ("#01", "expected ';' or end of input", 2),
+            ("f.mé", "expected ';' or end of input", 3),
+            ("!t ;", "expected an instruction after ';'", 4),
+            ("!t ;\u00a0\n", "expected an instruction after ';'", 6),
+        ],
+    )
+    def test_error_messages_are_pinned(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
+
+    def test_seeded_mutations_agree_with_the_reference(self):
+        rng = random.Random(31337)
+        outcomes = {"program": 0, "error": 0}
+        for _ in range(25_000):
+            text = mutated_text(rng)
+            got = parse_outcome(parse_program, text)
+            assert got == parse_outcome(reference_parse_program, text), text
+            outcomes["program" if isinstance(got, Program) else "error"] += 1
+        # both kinds of outcome are well represented
+        assert min(outcomes.values()) > 5_000
 
 
 class TestRepeat:
