@@ -1,6 +1,6 @@
 """Instruction sequence syntax: parsing, printing, layout, repetition, normalization.
 
-Concrete grammar (whitespace between tokens is ignored)::
+Concrete grammar (any Unicode whitespace may surround an instruction or ``;``)::
 
     program := instr (';' instr)*
     instr   := basic | '+' basic | '-' basic | '#' nat | '\\' nat | '!t' | '!f'
@@ -29,7 +29,11 @@ from dataclasses import dataclass
 from typing import Hashable, Iterator, Sequence, Union
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
-_NAT_RE = re.compile(r"0|[1-9][0-9]*")
+# one instruction with the whitespace around it and the ';' after it; groups:
+# token, jump kind, offset, test sign, focus, method, separator
+_INSTRUCTION_RE = re.compile(
+    r"\s*(!t|!f|([#\\])(0|[1-9][0-9]*)|([+-]?)([a-z][a-z0-9_]*)\.([a-z][a-z0-9_]*))\s*(;?)"
+)
 
 
 class ParseError(ValueError):
@@ -131,6 +135,8 @@ Instruction = Union[Plain, PosTest, NegTest, FwdJump, BwdJump, HaltP, HaltN]
 
 _INSTRUCTION_TYPES = (Plain, PosTest, NegTest, FwdJump, BwdJump, HaltP, HaltN)
 
+_TESTS = {"": Plain, "+": PosTest, "-": NegTest}
+
 
 @dataclass(frozen=True)
 class Program:
@@ -166,83 +172,53 @@ def render_program(x: Program) -> str:
 
 def parse_program(text: str) -> Program:
     """Parse program text; raises ParseError with the failing offset."""
+    built: dict[str, Instruction] = {}  # instructions are immutable: one per distinct token
     instrs: list[Instruction] = []
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_nat() -> int:
-        nonlocal pos
-        m = _NAT_RE.match(text, pos)
-        if not m:
-            raise ParseError("expected a natural number", pos)
-        pos = m.end()
-        return int(m.group())
-
-    def parse_ident() -> str:
-        nonlocal pos
-        m = IDENT_RE.match(text, pos)
-        if not m:
-            raise ParseError("expected an identifier", pos)
-        pos = m.end()
-        return m.group()
-
-    def parse_basic() -> BasicInstruction:
-        nonlocal pos
-        focus = parse_ident()
-        if pos >= n or text[pos] != ".":
-            raise ParseError("expected '.' in basic instruction", pos)
-        pos += 1
-        return BasicInstruction(focus, parse_ident())
-
-    def parse_instruction() -> Instruction:
-        nonlocal pos
-        if pos >= n:
-            raise ParseError("expected an instruction", pos)
-        ch = text[pos]
-        if ch == "!":
-            if text.startswith("!t", pos):
-                pos += 2
-                return HaltP()
-            if text.startswith("!f", pos):
-                pos += 2
-                return HaltN()
-            raise ParseError("expected '!t' or '!f'", pos)
-        if ch == "#":
-            pos += 1
-            return FwdJump(parse_nat())
-        if ch == "\\":
-            pos += 1
-            return BwdJump(parse_nat())
-        if ch == "+":
-            pos += 1
-            return PosTest(parse_basic())
-        if ch == "-":
-            pos += 1
-            return NegTest(parse_basic())
-        if ch.isalpha() and ch.islower():
-            return Plain(parse_basic())
-        raise ParseError(f"unexpected character {ch!r}", pos)
-
-    skip_ws()
-    if pos == n:
-        raise ParseError("empty program", pos)
     while True:
-        instrs.append(parse_instruction())
-        skip_ws()
-        if pos == n:
-            break
-        if text[pos] != ";":
-            raise ParseError("expected ';' or end of input", pos)
+        m = _INSTRUCTION_RE.match(text, pos)
+        if m is None:
+            raise _parse_error(text, pos)
+        token, jump, nat, test, focus, method, separator = m.groups()
+        u = built.get(token)
+        if u is None:
+            if jump:
+                u = (FwdJump if jump == "#" else BwdJump)(int(nat))
+            elif focus:
+                u = _TESTS[test](BasicInstruction(focus, method))
+            else:
+                u = HaltP() if token == "!t" else HaltN()
+            built[token] = u
+        instrs.append(u)
+        pos = m.end()
+        if not separator:
+            if pos < len(text):
+                raise ParseError("expected ';' or end of input", pos)
+            return Program(tuple(instrs))
+
+
+def _parse_error(text: str, start: int) -> ParseError:
+    """Why no instruction starts at start, which is 0 or just after a ';'."""
+    pos = start
+    while pos < len(text) and text[pos].isspace():
         pos += 1
-        skip_ws()
-        if pos == n:
-            raise ParseError("expected an instruction after ';'", pos)
-    return Program(tuple(instrs))
+    if pos == len(text):
+        return ParseError("expected an instruction after ';'" if start else "empty program", pos)
+    ch = text[pos]
+    if ch == "!":
+        return ParseError("expected '!t' or '!f'", pos)
+    if ch in "#\\":
+        return ParseError("expected a natural number", pos + 1)
+    if ch in "+-":
+        pos += 1
+    elif not (ch.isalpha() and ch.islower()):
+        return ParseError(f"unexpected character {ch!r}", pos)
+    m = IDENT_RE.match(text, pos)
+    if m is None:
+        return ParseError("expected an identifier", pos)
+    if not text.startswith(".", m.end()):
+        return ParseError("expected '.' in basic instruction", m.end())
+    return ParseError("expected an identifier", m.end() + 1)
 
 
 def repeat_instruction(u: Instruction, n: int) -> Program:
