@@ -281,11 +281,11 @@ def count_degrees(k: int, budget: ClosureBudget = ClosureBudget()) -> DegreeCoun
     while queue and exact:
         current = queue.popleft()
         for table in all_tables:
+            if table in current.members:
+                continue
             if out_of_budget():
                 exact = False
                 break
-            if table in current.members:
-                continue
             extended = derived_closure(current.members | {table}, k)
             fp = extended.fingerprint
             if fp not in seen:

@@ -214,6 +214,13 @@ class TestCountDegrees:
         assert not result.exact
         assert result.count <= 5
 
+    @pytest.mark.parametrize("limits", [{"max_sets": 1}, {"max_seconds": 0}])
+    def test_finished_search_is_exact_at_its_budget(self, limits):
+        # over one state the empty unit already derives every operation, so
+        # no closure is left to compute when the budget is reached
+        assert count_degrees(1, ClosureBudget(**limits)) == count_degrees(1)
+        assert count_degrees(1, ClosureBudget(**limits)).exact
+
     def test_sets_are_distinct_closures(self):
         result = count_degrees(2)
         assert len({c.fingerprint for c in result.sets}) == result.count
