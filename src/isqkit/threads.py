@@ -22,6 +22,7 @@ one state looks like, keyed by a resolved position (``extract``), a
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -95,7 +96,8 @@ class Branch:
     """Internal node of a finite thread tree.
 
     ``project`` shares subtrees, so the hash is taken once, at construction,
-    and ``==`` compares each pair of nodes once.
+    ``==`` compares each pair of nodes once, and the repr prints each
+    distinct subtree once, as the lines of a ``dump`` joined by ``;``.
     """
 
     action: Action
@@ -125,6 +127,13 @@ class Branch:
                 compared.add((id(a), id(b)))
                 stack += [(a.true_branch, b.true_branch), (a.false_branch, b.false_branch)]
         return True
+
+    def __repr__(self) -> str:
+        # keyed by value, so equal trees print equally
+        spec = _build(
+            self, lambda t: (t.action, t.true_branch, t.false_branch) if isinstance(t, Branch) else t
+        )
+        return f"Branch({'; '.join(line.lstrip('* ') for line in dump(spec).splitlines())})"
 
 
 FiniteThread = Union[Deadlock, TermP, TermN, Branch]
@@ -418,21 +427,23 @@ def dump(s: LinearSpec) -> str:
     return "\n".join(lines)
 
 
-def parse_dump(text: str) -> LinearSpec:
-    """Inverse of dump; accepts states in any order."""
-    import re
+_DUMP_LINE_RE = re.compile(r"^\s*(\*?)\s*(\d+):\s*(.+?)\s*$")
+_DUMP_POST_RE = re.compile(r"^(\S+)\s*\?\s*(\d+)\s*:\s*(\d+)$")
 
-    line_re = re.compile(r"^\s*(\*?)\s*(\d+):\s*(.+?)\s*$")
-    post_re = re.compile(r"^(\S+)\s*\?\s*(\d+)\s*:\s*(\d+)$")
+
+def parse_dump(text: str) -> LinearSpec:
+    """Inverse of dump; accepts states in any order, each once."""
     entries: dict[int, Entry] = {}
     root = None
     for raw in text.splitlines():
         if not raw.strip():
             continue
-        m = line_re.match(raw)
+        m = _DUMP_LINE_RE.match(raw)
         if not m:
             raise ValueError(f"bad spec line: {raw!r}")
         starred, sid, body = m.group(1), int(m.group(2)), m.group(3)
+        if sid in entries:
+            raise ValueError(f"state {sid} given twice")
         if starred:
             if root is not None:
                 raise ValueError("multiple root markers")
@@ -444,7 +455,7 @@ def parse_dump(text: str) -> LinearSpec:
         elif body == "S-":
             entries[sid] = TERM_N
         else:
-            pm = post_re.match(body)
+            pm = _DUMP_POST_RE.match(body)
             if not pm:
                 raise ValueError(f"bad entry: {body!r}")
             name = pm.group(1)

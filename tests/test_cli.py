@@ -202,6 +202,13 @@ class TestInspectionCommands:
         )
 
 
+    def test_compile_thread_rejects_a_repeated_state(self, capsys, tmp_path):
+        spec_path = tmp_path / "thread.txt"
+        spec_path.write_text("* 0: S+\n  0: S-\n")
+        code, out = run_cli(capsys, "compile-thread", "--spec", str(spec_path))
+        assert (code, out) == (65, "")
+
+
 class TestTranslationCommands:
     def test_translate(self, capsys, program_file):
         path = program_file("r0.incr ; #1", name="p.rml")

@@ -165,6 +165,24 @@ class TestBranchEquality:
         assert DEADLOCK != Branch(FM, DEADLOCK, DEADLOCK)
 
 
+class TestBranchRepr:
+    def test_format(self):
+        assert repr(Branch(FM, DEADLOCK, TERM_P)) == "Branch(0: f.m ? 1 : 2; 1: D; 2: S+)"
+        shared = Branch(TAU, TERM_N, TERM_N)
+        assert repr(Branch(FM, shared, shared)) == "Branch(0: f.m ? 1 : 1; 1: tau ? 2 : 2; 2: S-)"
+
+    def test_shared_trees_print_in_linear_size(self):
+        # the tree has exponentially many paths; each distinct subtree prints once
+        spec = ex("f.m ; +f.n ; \\2 ; !t")
+        for depth in (5, 10, 20, 40, 60):
+            assert len(repr(project(spec, depth))) <= 40 * depth + 100
+
+    def test_deep_tree(self):
+        text = repr(project(ex("f.m ; \\1"), 5000))
+        assert text.startswith("Branch(0: f.m ? 1 : 1; 1: f.m ? 2 : 2;")
+        assert text.endswith("4999: f.m ? 5000 : 5000; 5000: D)")
+
+
 def breadth_first_order(spec):
     """The states reachable from the root, breadth-first, true successor first."""
     order = [spec.root]
@@ -367,3 +385,7 @@ class TestDump:
     def test_parse_rejects_missing_root(self):
         with pytest.raises(ValueError):
             parse_dump("  0: S+")
+
+    def test_parse_rejects_a_repeated_state(self):
+        with pytest.raises(ValueError, match="state 0 given twice"):
+            parse_dump("* 0: S+\n  0: S-")
