@@ -305,6 +305,14 @@ class TestAnalysisCommands:
             '{"fingerprint": "072148e6", "generators": ["F1,T0"], "size": 16}',
         ]
 
+    def test_degrees_k3_list_json_digest(self, capsys):
+        code, out = run_cli(capsys, "degrees", "--k", "3", "--max-sets", "300", "--list", "--json")
+        assert code == 0
+        assert len(out.splitlines()) == 301
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c13a5ba8688725103e832166c079711886a591091b499a8d03cbb9c6ddba58b6"
+        )
+
     def test_degrees_json(self, capsys):
         _, out = run_cli(capsys, "degrees", "--k", "2", "--json")
         assert json.loads(out.splitlines()[0]) == {"degrees": 12, "exact": True, "k": 2}
