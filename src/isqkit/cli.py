@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import finfu, natfu
 from .execution import BudgetExhausted, ExecMode, Status, run
-from .funit import derived_op, parse_unit_table, UNDEFINED, Unknown
+from .funit import derived_op, parse_natural, parse_unit_table, UNDEFINED, Unknown
 from .isa import ParseError, normalize, parse_program, render_program
 from .services import Reply, ServiceFamily, UnitService
 from .threads import Post, compile_thread, dump, extract, parse_dump
@@ -59,19 +59,17 @@ def parse_family_literal(text: str) -> ServiceFamily:
         fields = spec.split(":")
         kind = fields[0]
         if kind == "counter" and len(fields) == 2:
-            unit, state = natfu.counter_unit(), int(fields[1])
+            unit, state = natfu.counter_unit(), parse_natural(fields[1])
         elif kind == "univ" and len(fields) == 2:
-            unit, state = natfu.univ_unit(), int(fields[1])
+            unit, state = natfu.univ_unit(), parse_natural(fields[1])
         elif kind == "univ3" and len(fields) == 2:
-            unit, state = natfu.univ3_unit(), int(fields[1])
+            unit, state = natfu.univ3_unit(), parse_natural(fields[1])
         elif kind == "table" and len(fields) == 3:
-            unit, state = parse_unit_table(_read(fields[1])), int(fields[2])
+            unit, state = parse_unit_table(_read(fields[1])), parse_natural(fields[2])
             if not 0 <= state < unit.size:
                 raise ValueError(f"state {state} out of range for {unit.size}-state unit")
         else:
             raise ValueError(f"unknown service literal {spec!r}")
-        if state < 0:
-            raise ValueError("states are naturals")
         if focus in entries:
             raise ValueError(f"focus {focus!r} given twice")
         entries[focus] = UnitService(unit, state)
@@ -240,7 +238,7 @@ def _cmd_degrees(args) -> int:
     _emit(args, payload, lines)
     if args.list:
         for closed in sorted(result.sets, key=lambda c: (len(c), c.fingerprint)):
-            generators = [finfu.render_behavior(t) for t in finfu.minimal_generators(closed)]
+            generators = [finfu.render_behavior(t) for t in sorted(closed.generators)]
             fingerprint = _fingerprint(closed)
             payload = {"fingerprint": fingerprint, "size": len(closed), "generators": generators}
             line = (
@@ -296,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("degrees", _cmd_degrees, "count functional unit degrees over k states")
     p.add_argument("--k", type=int, default=2, choices=range(1, finfu.MAX_ENUMERATED_STATES + 1))
-    p.add_argument("--list", action="store_true", help="one line per degree")
+    p.add_argument(
+        "--list", action="store_true", help="one line per degree, with a minimum generating set"
+    )
     p.add_argument("--max-sets", type=_natural, default=None)
     p.add_argument("--max-seconds", type=_nonnegative, default=None)
 

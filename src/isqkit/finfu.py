@@ -102,10 +102,15 @@ def enumerate_mo(k: int) -> list[MethodOperation]:
 
 @dataclass(frozen=True)
 class ClosedSet:
-    """The total operations derivable from some generator set."""
+    """The total operations derivable from some generator set.
+
+    ``generators`` holds the tables the set was closed from; sets compare
+    and hash by their members alone.
+    """
 
     members: frozenset[Behavior]
     k: int
+    generators: tuple[Behavior, ...] = field(default=(), compare=False)
 
     @property
     def fingerprint(self) -> tuple[Behavior, ...]:
@@ -200,8 +205,8 @@ def _close(generators: Iterable[Behavior], k: int) -> dict[Behavior, Derivation]
 
 def derived_closure(ops: Iterable, k: int) -> ClosedSet:
     """The derivable method operations of the unit generated by ``ops``."""
-    generators = [_as_table(op, k) for op in ops]
-    return ClosedSet(frozenset(t for t in _close(generators, k) if is_total(t)), k)
+    generators = tuple(_as_table(op, k) for op in ops)
+    return ClosedSet(frozenset(t for t in _close(generators, k) if is_total(t)), k, generators)
 
 
 def derivation_witnesses(unit: FunctionalUnit) -> dict[Behavior, "object"]:
@@ -262,13 +267,23 @@ def count_degrees(k: int, budget: ClosureBudget = ClosureBudget()) -> DegreeCoun
 
     Breadth-first over generator additions: starting from the closure of the
     empty unit, each closed set is extended by every operation not already in
-    it and the results are deduplicated by fingerprint.  Adding one generator
-    at a time reaches every closure because closing a closed set plus a
-    generator equals closing the underlying generators together.
+    it, by closing its generators plus that operation, and the results are
+    deduplicated by members.  Adding one generator at a time reaches every
+    closure because closing a closed set plus a generator equals closing the
+    underlying generators together.
+
+    Each returned set keeps the tables on the first path that reached it,
+    and they are a generating set of minimum size, because the level at
+    which a set is first reached equals its minimum generator count.  A set
+    first reached at level d has the d tables of its path as generators.
+    A set generated by m tables is the closure of m - 1 of them plus the
+    last, and by induction that closure is reached by level m - 1, so the
+    set is reached by level m.  Sets are popped level by level, so this
+    holds for a search cut short by the budget too.
     """
     all_tables = [op.table for op in enumerate_mo(k)]
     start = derived_closure((), k)
-    seen: dict[tuple, ClosedSet] = {start.fingerprint: start}
+    seen: dict[frozenset[Behavior], ClosedSet] = {start.members: start}
     queue: deque[ClosedSet] = deque([start])
     t0 = time.monotonic()
 
@@ -286,10 +301,9 @@ def count_degrees(k: int, budget: ClosureBudget = ClosureBudget()) -> DegreeCoun
             if out_of_budget():
                 exact = False
                 break
-            extended = derived_closure(current.members | {table}, k)
-            fp = extended.fingerprint
-            if fp not in seen:
-                seen[fp] = extended
+            extended = derived_closure(current.generators + (table,), k)
+            if extended.members not in seen:
+                seen[extended.members] = extended
                 queue.append(extended)
     return DegreeCount(len(seen), exact, tuple(seen.values()))
 
@@ -310,38 +324,6 @@ def leq_by_closure(left: FunctionalUnit, right: FunctionalUnit) -> bool:
 
 def equivalent_by_closure(left: FunctionalUnit, right: FunctionalUnit) -> bool:
     return leq_by_closure(left, right) and leq_by_closure(right, left)
-
-
-def minimal_generators(closed: ClosedSet, max_combos: int = 200_000) -> tuple[Behavior, ...]:
-    """A smallest generator subset reproducing the closed set.
-
-    Searches subsets in ascending size; past ``max_combos`` candidate
-    subsets it falls back to a greedy (small but not necessarily minimal)
-    generating set.
-    """
-    candidates = sorted(closed.members)
-    checked = 0
-    for size in range(0, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            checked += 1
-            if checked > max_combos:
-                return _greedy_generators(closed, candidates)
-            if derived_closure(combo, closed.k).members == closed.members:
-                return combo
-    return tuple(candidates)
-
-
-def _greedy_generators(closed: ClosedSet, candidates: list[Behavior]) -> tuple[Behavior, ...]:
-    chosen: list[Behavior] = []
-    have = derived_closure((), closed.k).members
-    for table in candidates:
-        if table in have:
-            continue
-        chosen.append(table)
-        have = derived_closure(chosen, closed.k).members
-        if have == closed.members:
-            break
-    return tuple(chosen)
 
 
 def render_behavior(table: Behavior) -> str:

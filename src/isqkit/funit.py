@@ -312,12 +312,19 @@ def refute_derivability(
 # ---------------------------------------------------------------------------
 
 
+def parse_natural(text: str) -> int:
+    """``text`` read as a natural written in the ASCII digits 0-9 alone."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a natural number")
+    return int(text)
+
+
 def parse_unit_table(text: str) -> FunctionalUnit:
     tokens = text.split()
     if len(tokens) < 2 or tokens[0] != "states":
         raise ValueError("table file must start with 'states <k>'")
     try:
-        size = int(tokens[1])
+        size = parse_natural(tokens[1])
     except ValueError:
         raise ValueError(f"bad state count {tokens[1]!r}") from None
     if size < 1:
@@ -342,7 +349,7 @@ def parse_unit_table(text: str) -> FunctionalUnit:
             raise ValueError(f"bad table row near {tokens[pos]!r}")
         s, flag, nxt = tokens[pos], tokens[pos + 2], tokens[pos + 3]
         try:
-            si, ni = int(s), int(nxt)
+            si, ni = parse_natural(s), parse_natural(nxt)
         except ValueError:
             raise ValueError(f"bad table row near {s!r}") from None
         if flag not in ("T", "F"):

@@ -427,8 +427,8 @@ def dump(s: LinearSpec) -> str:
     return "\n".join(lines)
 
 
-_DUMP_LINE_RE = re.compile(r"^\s*(\*?)\s*(\d+):\s*(.+?)\s*$")
-_DUMP_POST_RE = re.compile(r"^(\S+)\s*\?\s*(\d+)\s*:\s*(\d+)$")
+_DUMP_LINE_RE = re.compile(r"^\s*(\*?)\s*([0-9]+):\s*(.+?)\s*$")
+_DUMP_POST_RE = re.compile(r"^(\S+)\s*\?\s*([0-9]+)\s*:\s*([0-9]+)$")
 
 
 def parse_dump(text: str) -> LinearSpec:

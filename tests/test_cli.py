@@ -166,6 +166,12 @@ class TestRunCommand:
         code = main(["run", "--program", "/nonexistent.isq", "--family", "f=counter:0"])
         assert code == 65
 
+    @pytest.mark.parametrize("state", ["\u0663", "+3", " 3", "3_0", "-1"])
+    def test_family_states_are_ascii_digits(self, capsys, program_file, state):
+        path = program_file("f.iszero ; !t ; !f")
+        code = main(["run", "--program", path, "--family", f"f=counter:{state}"])
+        assert code == 65
+
 
 class TestInspectionCommands:
     def test_extract_deadlock(self, capsys, program_file):
@@ -205,6 +211,20 @@ class TestInspectionCommands:
     def test_compile_thread_rejects_a_repeated_state(self, capsys, tmp_path):
         spec_path = tmp_path / "thread.txt"
         spec_path.write_text("* 0: S+\n  0: S-\n")
+        code, out = run_cli(capsys, "compile-thread", "--spec", str(spec_path))
+        assert (code, out) == (65, "")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "* \u0660: f.m ? \u0661 : \u0662\n  \u0661: S+\n  \u0662: S-\n",
+            "* 0: f.m ? \u0661 : 2\n  1: S+\n  2: S-\n",
+        ],
+        ids=["arabic-indic-ids", "arabic-indic-successor"],
+    )
+    def test_compile_thread_takes_only_ascii_state_ids(self, capsys, tmp_path, spec):
+        spec_path = tmp_path / "thread.txt"
+        spec_path.write_text(spec, encoding="utf-8")
         code, out = run_cli(capsys, "compile-thread", "--spec", str(spec_path))
         assert (code, out) == (65, "")
 
@@ -329,6 +349,24 @@ class TestAnalysisCommands:
         assert out.strip() == "true"
         code, out = run_cli(capsys, "leq", "--left", str(right), "--right", str(left))
         assert out.strip() == "false"
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            "states \u0662\nmethod m\n0 -> T 1\n1 -> F 0\n",
+            "states 2\nmethod m\n\u0660 -> T 1\n1 -> F 0\n",
+            "states 2\nmethod m\n0 -> T \u0661\n1 -> F 0\n",
+            "states 2\nmethod m\n0 -> T +1\n1 -> F 0\n",
+        ],
+        ids=["arabic-indic-count", "arabic-indic-state", "arabic-indic-next", "signed-next"],
+    )
+    def test_leq_takes_only_ascii_numbers_in_tables(self, capsys, tmp_path, table):
+        left = tmp_path / "left.tbl"
+        right = tmp_path / "right.tbl"
+        left.write_text(table, encoding="utf-8")
+        right.write_text("states 2\nmethod m\n0 -> T 1\n1 -> F 0\n")
+        code, out = run_cli(capsys, "leq", "--left", str(left), "--right", str(right))
+        assert (code, out) == (65, "")
 
 
 class TestJsonHumanParity:

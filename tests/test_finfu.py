@@ -16,7 +16,6 @@ from isqkit.finfu import (
     enumerate_mo,
     equivalent_by_closure,
     leq_by_closure,
-    minimal_generators,
     render_behavior,
 )
 from isqkit.funit import FunctionalUnit, MethodOperation, derived_op
@@ -24,6 +23,38 @@ from isqkit.funit import FunctionalUnit, MethodOperation, derived_op
 from .strategies import random_table, random_unit
 
 from .test_funit import brute_force_tables
+
+
+def reference_minimal_generators(closed, max_combos=200_000):
+    """A smallest generator subset reproducing the closed set.
+
+    Searches subsets of the members in ascending size and, within a size, in
+    sorted order; past ``max_combos`` candidate subsets it falls back to a
+    greedy (small but not necessarily minimal) generating set.
+    """
+    candidates = sorted(closed.members)
+    checked = 0
+    for size in range(0, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            checked += 1
+            if checked > max_combos:
+                return _greedy_generators(closed, candidates)
+            if derived_closure(combo, closed.k).members == closed.members:
+                return combo
+    return tuple(candidates)
+
+
+def _greedy_generators(closed, candidates):
+    chosen = []
+    have = derived_closure((), closed.k).members
+    for table in candidates:
+        if table in have:
+            continue
+        chosen.append(table)
+        have = derived_closure(chosen, closed.k).members
+        if have == closed.members:
+            break
+    return tuple(chosen)
 
 
 class TestEnumerate:
@@ -211,8 +242,8 @@ class TestCountDegrees:
 
     def test_budget_flags_truncation(self):
         result = count_degrees(2, ClosureBudget(max_sets=4))
+        assert result.count == 4
         assert not result.exact
-        assert result.count <= 5
 
     @pytest.mark.parametrize("limits", [{"max_sets": 1}, {"max_seconds": 0}])
     def test_finished_search_is_exact_at_its_budget(self, limits):
@@ -261,12 +292,27 @@ class TestGeneratorsAndRendering:
     def test_minimal_generators_reproduce_closure(self):
         result = count_degrees(2)
         for closed in result.sets:
-            generators = minimal_generators(closed)
+            generators = closed.generators
             assert derived_closure(generators, 2).members == closed.members
 
     def test_empty_closure_needs_no_generators(self):
         closed = derived_closure((), 2)
-        assert minimal_generators(closed) == ()
+        assert closed.generators == ()
+
+    @pytest.mark.parametrize(
+        "k, budget", [(2, ClosureBudget()), (3, ClosureBudget(max_sets=300))]
+    )
+    def test_search_generators_match_the_subset_search(self, k, budget):
+        for closed in count_degrees(k, budget).sets:
+            assert tuple(sorted(closed.generators)) == reference_minimal_generators(closed)
+            assert derived_closure(closed.generators, k).members == closed.members
+
+    def test_generators_do_not_affect_equality(self):
+        table = enumerate_mo(2)[3].table
+        closed = derived_closure([table], 2)
+        same = derived_closure([table, table], 2)
+        assert closed == same and hash(closed) == hash(same)
+        assert closed.generators != same.generators
 
     def test_render(self):
         assert render_behavior(((True, 1), (False, 0))) == "T1,F0"
